@@ -226,7 +226,6 @@ def _cmd_tune(args) -> int:
         B=args.B,
         test_total=args.test_n,
         seed=args.seed,
-        workers=args.workers,
     )
     config = dict(
         meta,
@@ -236,7 +235,6 @@ def _cmd_tune(args) -> int:
         B=args.B,
         test_total=args.test_n,
         seed=args.seed,
-        workers=args.workers,
         format=args.format,
     )
     report = _envelope("tune", config)
@@ -387,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument(
         "--seed", type=int, required=True, help="RNG seed (recorded in the report)"
     )
-    p_tune.add_argument("--workers", type=int, default=1)
     p_tune.add_argument("--output", required=True)
     p_tune.add_argument("--format", choices=("json", "csv"), default="json")
     p_tune.set_defaults(func=_cmd_tune)

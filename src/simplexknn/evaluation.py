@@ -8,8 +8,16 @@ comparison), so cell differences are not inflated by split noise.
 
 Randomness comes from numpy's PCG64 generator seeded with
 SeedSequence((seed, replication_index)), which is documented, 64-bit and
-platform independent; replications can therefore be evaluated concurrently
-and still aggregate to bit-identical results.
+platform independent.
+
+The grid is evaluated by one shared-split engine. Per alpha, the rows are
+validated and power-transformed once, the full distance matrix is built in
+blocks of query rows and every row gets one stable ranking of all columns.
+Each replication then filters its test rows' rankings down to the training
+columns; training indices are ascending, so the (distance, row index) order
+is exactly that of a per-replication matrix. Every k is voted from one prefix
+sum over the ranked neighbours, so results are bit-identical to classifying
+each (replication, alpha, k) cell separately.
 
 Also here: confusion statistics, leave-one-out membership scores and
 one-vs-rest ROC curves with trapezoidal AUC.
@@ -18,7 +26,6 @@ one-vs-rest ROC curves with trapezoidal AUC.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +37,14 @@ from .errors import (
     SimplexKnnError,
     UndefinedRoc,
 )
-from .knn import NeighborConfig, _rank_neighbors, _vote, pairwise_distances
+from .knn import (
+    NeighborConfig,
+    _distance_blocks,
+    _distance_matrix,
+    _prepared_dataset,
+    _rank_neighbors,
+    _vote,
+)
 from .metrics import MetricSpec
 
 __all__ = [
@@ -167,15 +181,16 @@ def confusion_matrix(truth, predicted, n_classes: int | None = None) -> np.ndarr
 def sensitivity_specificity(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-vs-rest TP/(TP+FN) and TN/(TN+FP) per class.
 
-    A class with no true instance has undefined sensitivity, reported as NaN
-    (absent), never as 0. Same for specificity when a class covers the whole
-    sample.
+    cm is one (C, C) confusion matrix or a stack (..., C, C) of them; the
+    results have shape (..., C). A class with no true instance has undefined
+    sensitivity, reported as NaN (absent), never as 0. Same for specificity
+    when a class covers the whole sample.
     """
     cm = np.asarray(cm)
-    total = cm.sum()
-    tp = np.diag(cm).astype(float)
-    per_true = cm.sum(axis=1).astype(float)
-    per_pred = cm.sum(axis=0).astype(float)
+    total = cm.sum(axis=(-2, -1))[..., None]
+    tp = np.diagonal(cm, axis1=-2, axis2=-1).astype(float)
+    per_true = cm.sum(axis=-1).astype(float)
+    per_pred = cm.sum(axis=-2).astype(float)
     fp = per_pred - tp
     tn = total - per_true - fp
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -261,37 +276,35 @@ class GridResult:
         }
 
 
-def _replicate(data, alphas, ks, family, alloc, seed, b):
-    """Evaluate every grid cell on replication b's split.
+def _replication_stats(data, dist, order, splits, ks):
+    """Per-replication statistics of every k from one metric's ranking.
 
-    Returns (accuracy (A, K) %, sensitivity (A, K, C), specificity (A, K, C),
-    errors {alpha_index: message}, test index array). Pure: safe to run
-    replications concurrently.
+    dist is the full (n, n) distance matrix and order its stable row-wise
+    argsort. Returns accuracy (B, K) in percent and sensitivity and
+    specificity (B, K, C).
     """
-    train_idx, test_idx = _split_indices(data, alloc, seed, b)
-    train = data.subset(train_idx)
-    test_rows = data.rows[test_idx]
-    test_labels = data.labels[test_idx]
     n_classes = data.n_classes
-    n_a, n_k = len(alphas), len(ks)
-    acc = np.full((n_a, n_k), np.nan)
-    sens = np.full((n_a, n_k, n_classes), np.nan)
-    spec = np.full((n_a, n_k, n_classes), np.nan)
-    errors: dict[int, str] = {}
-    for a, alpha in enumerate(alphas):
-        mspec = MetricSpec(family) if alpha is None else MetricSpec(family, alpha)
-        try:
-            dist = pairwise_distances(train, test_rows, mspec)
-        except SimplexKnnError as exc:
-            errors[a] = f"{type(exc).__name__}: {exc}"
-            continue
-        order = _rank_neighbors(dist)
-        for ki, k in enumerate(ks):
-            winners, _ = _vote(dist, order, train.labels, k, n_classes)
-            acc[a, ki] = 100.0 * np.mean(winners == test_labels)
-            cm = confusion_matrix(test_labels, winners, n_classes)
-            sens[a, ki], spec[a, ki] = sensitivity_specificity(cm)
-    return acc, sens, spec, errors, test_idx
+    kmax = max(ks)
+    n_ks = len(ks)
+    B = len(splits)
+    acc = np.empty((B, n_ks))
+    cms = np.empty((B, n_ks, n_classes, n_classes), dtype=np.intp)
+    k_offset = np.arange(n_ks)[:, None] * n_classes
+    for b, (train_mask, test_idx) in enumerate(splits):
+        ranked = order[test_idx]
+        # every row keeps the same number of training columns, in global order
+        sel = ranked[train_mask[ranked]].reshape(test_idx.size, -1)[:, :kmax]
+        winners, _ = _vote(
+            dist[test_idx[:, None], sel], data.labels[sel], ks, n_classes
+        )
+        truth = data.labels[test_idx]
+        acc[b] = 100.0 * ((winners == truth).sum(axis=1) / test_idx.size)
+        flat = ((k_offset + truth) * n_classes + winners).ravel()
+        cms[b] = np.bincount(flat, minlength=n_ks * n_classes**2).reshape(
+            n_ks, n_classes, n_classes
+        )
+    sens, spec = sensitivity_specificity(cms)
+    return acc, sens, spec
 
 
 def _mean_sd(values: np.ndarray) -> tuple[float | None, float | None]:
@@ -312,7 +325,6 @@ def grid_search(
     B: int,
     test_total: int,
     seed: int,
-    workers: int = 1,
 ) -> GridResult:
     """Repeated stratified-holdout accuracy over an (alpha, k) grid.
 
@@ -324,9 +336,11 @@ def grid_search(
     stratification, but the aggregation tolerates it).
 
     A metric error (for instance the log-ratio family meeting a zero part)
-    fails every cell of the offending alpha with a diagnostic; other cells
-    are unaffected. For the aitchison family the alpha grid is ignored and
-    cells carry alpha=None.
+    fails every cell of the offending alpha with a diagnostic naming the
+    first offending dataset row and column; other cells are unaffected.
+    Every row is in some replication's split, so the domain is checked once
+    on the whole dataset. For the aitchison family the alpha grid is ignored
+    and cells carry alpha=None.
     """
     if family not in GRID_FAMILIES:
         raise ValueError(f"family must be one of {GRID_FAMILIES}, got {family!r}")
@@ -352,41 +366,36 @@ def grid_search(
             f"k={max(ks)} exceeds the training size {train_size}"
         )
 
-    def job(b):
-        return _replicate(data, alphas_eff, ks, family, alloc, seed, b)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, range(B)))
-    else:
-        outcomes = [job(b) for b in range(B)]
+    splits = []
+    digest = hashlib.sha256()
+    for b in range(B):
+        train_idx, test_idx = _split_indices(data, alloc, seed, b)
+        train_mask = np.zeros(len(data), dtype=bool)
+        train_mask[train_idx] = True
+        splits.append((train_mask, test_idx))
+        digest.update(np.int64(b).tobytes())
+        digest.update(np.ascontiguousarray(test_idx, dtype="<i8").tobytes())
 
     n_classes = data.n_classes
-    acc_all = np.stack([o[0] for o in outcomes])
-    sens_all = np.stack([o[1] for o in outcomes])
-    spec_all = np.stack([o[2] for o in outcomes])
-    alpha_errors: dict[int, str] = {}
-    for b, o in enumerate(outcomes):
-        for a, msg in o[3].items():
-            if a not in alpha_errors:
-                alpha_errors[a] = f"replication {b}: {msg}"
-    digest = hashlib.sha256()
-    for b, o in enumerate(outcomes):
-        digest.update(np.int64(b).tobytes())
-        digest.update(np.ascontiguousarray(o[4], dtype="<i8").tobytes())
-
     cells = []
-    for a, alpha in enumerate(alphas_eff):
+    for alpha in alphas_eff:
+        mspec = MetricSpec(family) if alpha is None else MetricSpec(family, alpha)
+        try:
+            prepared = _prepared_dataset(data, mspec)
+        except SimplexKnnError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            cells.extend(
+                GridCell(alpha, k, None, None, None, None, None, None, error=error)
+                for k in ks
+            )
+            continue
+        dist = _distance_matrix(prepared, prepared, family)
+        order = np.argsort(dist, axis=1, kind="stable")
+        acc, sens, spec = _replication_stats(data, dist, order, splits, ks)
         for ki, k in enumerate(ks):
-            if a in alpha_errors:
-                cells.append(
-                    GridCell(alpha, k, None, None, None, None, None, None,
-                             error=alpha_errors[a])
-                )
-                continue
-            mean_acc, sd_acc = _mean_sd(acc_all[:, a, ki])
-            sens_stats = [_mean_sd(sens_all[:, a, ki, c]) for c in range(n_classes)]
-            spec_stats = [_mean_sd(spec_all[:, a, ki, c]) for c in range(n_classes)]
+            mean_acc, sd_acc = _mean_sd(acc[:, ki])
+            sens_stats = [_mean_sd(sens[:, ki, c]) for c in range(n_classes)]
+            spec_stats = [_mean_sd(spec[:, ki, c]) for c in range(n_classes)]
             cells.append(
                 GridCell(
                     alpha,
@@ -415,19 +424,30 @@ def grid_search(
 def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
     """Leave-one-out membership scores, one row of per-class fractions per row.
 
-    Row i is scored against the dataset minus row i. Implemented with a single
-    distance matrix whose diagonal is masked, which preserves the (distance,
-    row index) ordering of an explicit per-row holdout. Deterministic.
+    Row i is scored against the dataset minus row i. The distance matrix is
+    built and ranked in blocks of rows with the diagonal masked, which
+    preserves the (distance, row index) ordering of an explicit per-row
+    holdout without holding the whole matrix. Deterministic.
     """
-    if config.k > len(data) - 1:
+    k = config.k
+    if k > len(data) - 1:
         raise InsufficientTraining(
-            f"k={config.k} exceeds {len(data) - 1} leave-one-out training rows"
+            f"k={k} exceeds {len(data) - 1} leave-one-out training rows"
         )
-    dist = pairwise_distances(data, data.rows, config.spec)
-    np.fill_diagonal(dist, np.inf)
-    order = _rank_neighbors(dist)
-    _, counts = _vote(dist, order, data.labels, config.k, data.n_classes)
-    return counts / config.k
+    prepared = _prepared_dataset(data, config.spec)
+    counts = np.empty((len(data), data.n_classes), dtype=np.intp)
+    for start, block in _distance_blocks(prepared, prepared, config.spec.family):
+        rows = np.arange(block.shape[0])
+        block[rows, start + rows] = np.inf
+        sel = _rank_neighbors(block, k)
+        _, block_counts = _vote(
+            np.take_along_axis(block, sel, axis=1),
+            data.labels[sel],
+            (k,),
+            data.n_classes,
+        )
+        counts[start : start + rows.size] = block_counts[0]
+    return counts / k
 
 
 @dataclass(frozen=True)

@@ -62,13 +62,23 @@ class NeighborConfig:
     spec: MetricSpec
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
+        if (
+            isinstance(self.k, (bool, np.bool_))
+            or int(self.k) != self.k
+            or self.k < 1
+        ):
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         object.__setattr__(self, "k", int(self.k))
 
 
-def _check_rows(rows: np.ndarray, spec: MetricSpec, role: str) -> None:
-    """Domain validation with the offending row named in the message."""
+def _check_rows(
+    rows: np.ndarray, spec: MetricSpec, role: str, names=None
+) -> None:
+    """Domain validation with the offending row named in the message.
+
+    With names (one per column) a zero part is reported by column name,
+    otherwise by column index.
+    """
     if not np.all(np.isfinite(rows)):
         bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
         raise DegenerateInput(f"{role} row {bad} contains non-finite parts")
@@ -82,7 +92,8 @@ def _check_rows(rows: np.ndarray, spec: MetricSpec, role: str) -> None:
         where = np.argwhere((rows == 0).any(axis=1))
         bad = int(where[0, 0])
         col = int(np.argwhere(rows[bad] == 0)[0, 0])
-        msg = f"{role} row {bad}, part {col} is zero"
+        part = f"part {col}" if names is None else f"column {names[col]}"
+        msg = f"{role} row {bad}, {part} is zero"
         if spec.family == "aitchison":
             raise ZeroInAitchison(msg)
         raise ZeroUnderNegativePower(msg + f" under alpha={spec.alpha:g}")
@@ -94,6 +105,42 @@ def _prepare(rows: np.ndarray, spec: MetricSpec) -> np.ndarray:
     return rows
 
 
+# Query rows per kernel call: the broadcast temporary is (_BLOCK_ROWS, n, D),
+# so memory grows linearly in the number of training rows, not quadratically.
+_BLOCK_ROWS = 32
+
+
+def _distance_blocks(queries: np.ndarray, train: np.ndarray, family: str):
+    """Yield (start, distances of queries[start:start + _BLOCK_ROWS]).
+
+    Both arguments are already prepared (validated and power-transformed).
+    Each entry is computed exactly as an unblocked kernel call would.
+    """
+    kernel = _PLAIN[family]
+    for start in range(0, queries.shape[0], _BLOCK_ROWS):
+        block = queries[start : start + _BLOCK_ROWS]
+        yield start, kernel(block[:, None, :], train[None, :, :])
+
+
+def _distance_matrix(
+    queries: np.ndarray, train: np.ndarray, family: str
+) -> np.ndarray:
+    """All of _distance_blocks assembled into one (m, n) matrix."""
+    out = np.empty((queries.shape[0], train.shape[0]))
+    for start, block in _distance_blocks(queries, train, family):
+        out[start : start + block.shape[0]] = block
+    return out
+
+
+def _prepared_dataset(data: LabeledDataset, spec: MetricSpec) -> np.ndarray:
+    """Every row of data validated once and prepared for spec's kernel.
+
+    A domain error names the dataset row and, when known, the column.
+    """
+    _check_rows(data.rows, spec, "dataset", data.feature_names)
+    return _prepare(data.rows, spec)
+
+
 def pairwise_distances(
     train: LabeledDataset, queries, spec: MetricSpec
 ) -> np.ndarray:
@@ -101,7 +148,8 @@ def pairwise_distances(
 
     queries is a single composition or a stack of them. Power-family rows
     are transformed once up front, which is equivalent to (and much faster
-    than) transforming inside every scalar distance call.
+    than) transforming inside every scalar distance call. Query rows are
+    processed in blocks, so no (m, n, D) temporary is built.
     """
     q = np.asarray(queries, dtype=float)
     single = q.ndim == 1
@@ -117,57 +165,64 @@ def pairwise_distances(
     _check_rows(train.rows, spec, "training")
     qt = _prepare(q, spec)
     tt = _prepare(train.rows, spec)
-    out = _PLAIN[spec.family](qt[:, None, :], tt[None, :, :])
+    out = _distance_matrix(qt, tt, spec.family)
     return out[0] if single else out
 
 
-def _rank_neighbors(dist: np.ndarray) -> np.ndarray:
-    """Column order per row by (distance, row index); stable sort does both."""
-    return np.argsort(dist, axis=1, kind="stable")
+def _rank_neighbors(dist: np.ndarray, kmax: int) -> np.ndarray:
+    """First kmax columns per row by (distance, column index).
+
+    A stable sort orders by distance and keeps the lower column first on ties.
+    """
+    n = dist.shape[1]
+    if kmax > n:
+        raise InsufficientTraining(f"k={kmax} exceeds {n} training rows")
+    return np.argsort(dist, axis=1, kind="stable")[:, :kmax]
 
 
 def _vote(
-    dist: np.ndarray,
-    order: np.ndarray,
-    labels: np.ndarray,
-    k: int,
+    ranked_dists: np.ndarray,
+    ranked_labels: np.ndarray,
+    ks: tuple[int, ...],
     n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vote among the first k ranked columns of each row.
+    """Vote among the first k ranked neighbours of each row, for every k in ks.
 
-    Returns (winners (m,), neighbour counts per class (m, C)). Implements the
-    tie rules documented in the module docstring.
+    ranked_dists and ranked_labels are (m, kmax) in neighbour order, with
+    kmax >= max(ks). Returns (winners (K, m), neighbour counts per class
+    (K, m, C)). Implements the tie rules documented in the module docstring.
+    Counts and distance sums for every k come from one prefix sum each; a
+    class's sum adds its members' distances in neighbour order, exactly like
+    accumulating them one neighbour at a time.
     """
-    m, n = dist.shape
-    if k > n:
-        raise InsufficientTraining(f"k={k} exceeds {n} training rows")
-    sel = order[:, :k]
-    nbr_labels = labels[sel]
-    nbr_dists = np.take_along_axis(dist, sel, axis=1)
-    rows = np.repeat(np.arange(m), k)
-    counts = np.zeros((m, n_classes), dtype=np.intp)
-    np.add.at(counts, (rows, nbr_labels.ravel()), 1)
-    dist_sums = np.zeros((m, n_classes))
-    np.add.at(dist_sums, (rows, nbr_labels.ravel()), nbr_dists.ravel())
-    top = counts.max(axis=1, keepdims=True)
+    onehot = ranked_labels[:, :, None] == np.arange(n_classes)
+    at_k = np.asarray(ks, dtype=np.intp) - 1
+    counts = np.cumsum(onehot, axis=1, dtype=np.intp)[:, at_k].swapaxes(0, 1)
+    member_dists = np.where(onehot, ranked_dists[:, :, None], 0.0)
+    dist_sums = np.cumsum(member_dists, axis=1)[:, at_k].swapaxes(0, 1)
+    top = counts.max(axis=-1, keepdims=True)
     tiebreak = np.where(counts == top, dist_sums, np.inf)
-    winners = tiebreak.argmin(axis=1)  # argmin keeps the lower class index on ties
+    winners = tiebreak.argmin(axis=-1)  # argmin keeps the lower class index on ties
     return winners, counts
 
 
-def _scores_from_distances(
-    dist: np.ndarray, labels: np.ndarray, k: int, n_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    return _vote(dist, _rank_neighbors(dist), labels, k, n_classes)
+def _knn_vote(
+    train: LabeledDataset, query, config: NeighborConfig
+) -> tuple[int, np.ndarray]:
+    dist = pairwise_distances(train, np.asarray(query, float)[None, :], config.spec)
+    sel = _rank_neighbors(dist, config.k)
+    winners, counts = _vote(
+        np.take_along_axis(dist, sel, axis=1),
+        train.labels[sel],
+        (config.k,),
+        train.n_classes,
+    )
+    return int(winners[0, 0]), counts[0, 0]
 
 
 def classify(train: LabeledDataset, query, config: NeighborConfig) -> int:
     """Class index of the majority vote among the k nearest training rows."""
-    dist = pairwise_distances(train, np.asarray(query, float)[None, :], config.spec)
-    winners, _ = _scores_from_distances(
-        dist, train.labels, config.k, train.n_classes
-    )
-    return int(winners[0])
+    return _knn_vote(train, query, config)[0]
 
 
 def membership_scores(train: LabeledDataset, query, config: NeighborConfig) -> np.ndarray:
@@ -175,8 +230,4 @@ def membership_scores(train: LabeledDataset, query, config: NeighborConfig) -> n
 
     argmax under the classify() tie rules equals classify()'s output.
     """
-    dist = pairwise_distances(train, np.asarray(query, float)[None, :], config.spec)
-    _, counts = _scores_from_distances(
-        dist, train.labels, config.k, train.n_classes
-    )
-    return counts[0] / config.k
+    return _knn_vote(train, query, config)[1] / config.k

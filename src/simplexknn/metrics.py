@@ -61,6 +61,8 @@ class MetricSpec:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {FAMILIES}"
             )
+        if isinstance(self.alpha, (bool, np.bool_)):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         object.__setattr__(self, "alpha", float(self.alpha))
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")

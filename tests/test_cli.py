@@ -51,7 +51,7 @@ class TestParseGrid:
 
 
 class TestTuneCommand:
-    def run_tune(self, data_csv, out, seed=7, fmt="json", extra=()):
+    def run_tune(self, data_csv, out, seed=7, fmt="json"):
         return main(
             [
                 "tune",
@@ -65,7 +65,6 @@ class TestTuneCommand:
                 "--seed", str(seed),
                 "--output", str(out),
                 "--format", fmt,
-                *extra,
             ]
         )
 
@@ -109,13 +108,6 @@ class TestTuneCommand:
         assert len(rows) == 5
         meta = json.loads((tmp_path / "grid.csv.meta.json").read_text())
         assert meta["command"] == "tune" and meta["config"]["seed"] == 7
-
-    def test_workers_do_not_change_bytes(self, data_csv, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        self.run_tune(data_csv, a, seed=5)
-        self.run_tune(data_csv, b, seed=5, extra=["--workers", "4"])
-        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-        assert ra["result"] == rb["result"]
 
     def test_seed_is_required(self, data_csv, tmp_path, capsys):
         with pytest.raises(SystemExit):

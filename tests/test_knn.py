@@ -15,7 +15,7 @@ from simplexknn import (
     membership_scores,
     pairwise_distances,
 )
-from simplexknn.knn import _scores_from_distances
+from simplexknn.knn import _rank_neighbors, _vote
 
 from conftest import compositional_blobs
 
@@ -71,6 +71,14 @@ class TestPairwiseDistances:
         with pytest.raises(ZeroInAitchison, match="row"):
             pairwise_distances(sparse_dataset, sparse_dataset.rows,
                                MetricSpec("aitchison"))
+
+
+class TestNeighborConfig:
+    def test_k_must_be_a_positive_integer(self):
+        assert NeighborConfig(3.0, MetricSpec("esov")).k == 3
+        for bad in (0, -1, 2.5, True, np.True_):
+            with pytest.raises(ValueError):
+                NeighborConfig(bad, MetricSpec("esov"))
 
 
 class TestClassify:
@@ -143,10 +151,16 @@ class TestClassify:
         # switching the logarithm base rescales every esov distance by one
         # constant; the neighbour order and all tie rules are scale-free
         m = pairwise_distances(blob_dataset, blob_dataset.rows[:8], MetricSpec("esov"))
-        base, _ = _scores_from_distances(m, blob_dataset.labels, 3, 3)
+        ks = (1, 2, 3, 5)
+
+        def winners(dist):
+            sel = _rank_neighbors(dist, max(ks))
+            ranked = np.take_along_axis(dist, sel, axis=1)
+            return _vote(ranked, blob_dataset.labels[sel], ks, 3)[0]
+
+        base = winners(m)
         for c in (1.0 / np.sqrt(np.log(10.0)), 3.7):
-            again, _ = _scores_from_distances(c * m, blob_dataset.labels, 3, 3)
-            np.testing.assert_array_equal(base, again)
+            np.testing.assert_array_equal(base, winners(c * m))
 
 
 class TestMembershipScores:

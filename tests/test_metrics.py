@@ -185,6 +185,11 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             MetricSpec("esov", float("inf"))
 
+    def test_boolean_alpha_rejected(self):
+        for flag in (True, np.False_):
+            with pytest.raises(ValueError):
+                MetricSpec("esov", flag)
+
 
 class TestDispatcher:
     def test_esov_identity(self):
