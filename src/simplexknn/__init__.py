@@ -45,7 +45,6 @@ from .evaluation import (
     GridCell,
     GridResult,
     RocCurve,
-    SplitPlan,
     allocate_test_counts,
     auc,
     confusion_matrix,
@@ -53,12 +52,10 @@ from .evaluation import (
     loocv_scores,
     roc_curve,
     sensitivity_specificity,
-    split_plan,
     stratified_holdout,
 )
 from .loci import (
     DistanceField,
-    TernaryPoint,
     distance_field,
     ternary_embed,
     transform_dataset,
@@ -104,9 +101,7 @@ __all__ = [
     "classify",
     "membership_scores",
     # evaluation
-    "SplitPlan",
     "allocate_test_counts",
-    "split_plan",
     "stratified_holdout",
     "confusion_matrix",
     "sensitivity_specificity",
@@ -118,7 +113,6 @@ __all__ = [
     "roc_curve",
     "auc",
     # loci
-    "TernaryPoint",
     "ternary_embed",
     "transform_dataset",
     "DistanceField",

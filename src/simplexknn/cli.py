@@ -26,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import DEFAULT_DROP_COLUMNS, LabeledDataset, ingest_csv
+from .dataset import DEFAULT_DROP_COLUMNS, LabeledDataset, _read_csv
 from .errors import SimplexKnnError
-from .evaluation import GRID_FAMILIES, auc, grid_search, loocv_scores, roc_curve
+from .evaluation import auc, grid_search, loocv_scores, roc_curve
 from .knn import NeighborConfig, pairwise_distances
 from .loci import DEFAULT_RESOLUTION, distance_field, ternary_embed
-from .metrics import FAMILIES, MetricSpec
+from .metrics import FAMILIES, POWER_FAMILIES, MetricSpec
 from .simplex import barycentre, power_transform
 
 __all__ = ["main", "build_parser", "parse_grid"]
@@ -85,20 +85,10 @@ def parse_grid(text: str, integer: bool = False) -> list:
     return deduped
 
 
-def _csv_header(path) -> list[str]:
-    with Path(path).open(newline="") as fh:
-        try:
-            return [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            return []
-
-
 def _load_dataset(args) -> tuple[LabeledDataset, dict]:
     requested = () if args.keep_all else DEFAULT_DROP_COLUMNS
     requested = tuple(dict.fromkeys(requested + tuple(args.drop or ())))
-    data = ingest_csv(args.input, args.label_column, drop_columns=requested)
-    header = _csv_header(args.input)
-    dropped = [c for c in requested if c in header and c != args.label_column]
+    data, dropped = _read_csv(args.input, args.label_column, requested)
     meta = {
         "input": str(args.input),
         "label_column": args.label_column,
@@ -145,15 +135,15 @@ def _fmt(value) -> str:
 def _cmd_dist(args) -> int:
     data, meta = _load_dataset(args)
     spec = MetricSpec(args.family, args.alpha)
-    matrix = pairwise_distances(data, data.rows, spec)
+    matrix = pairwise_distances(data, data.rows, spec).tolist()
     config = dict(meta, family=args.family, alpha=spec.alpha, format=args.format)
     report = _envelope("dist", config)
     if args.format == "json":
-        report["matrix"] = [[float(v) for v in row] for row in matrix]
+        report["matrix"] = matrix
         _write_json(args.output, report)
     else:
-        header = ["row"] + [f"r{j}" for j in range(matrix.shape[1])]
-        rows = [[i] + [repr(float(v)) for v in row] for i, row in enumerate(matrix)]
+        header = ["row"] + [f"r{j}" for j in range(len(data))]
+        rows = ([i] + [repr(v) for v in row] for i, row in enumerate(matrix))
         _write_csv(args.output, header, rows)
         _write_meta(args.output, report)
     return 0
@@ -165,27 +155,24 @@ def _cmd_transform(args) -> int:
     ternary = data.n_parts == 3
     config = dict(meta, alpha=args.alpha, format=args.format)
     report = _envelope("transform", config)
-    names = list(data.feature_names)
+    # plot coordinates for 3 parts, none otherwise
+    coords = ternary_embed(transformed).tolist() if ternary else [[]] * len(data)
+    table = zip(
+        transformed.tolist(), [data.classes[lab] for lab in data.labels], coords
+    )
     if args.format == "json":
-        rows = []
-        for row, lab in zip(transformed, data.labels):
-            entry = {"parts": [float(v) for v in row], "label": data.classes[lab]}
-            if ternary:
-                point = ternary_embed(row)
-                entry["x"] = point.x
-                entry["y"] = point.y
-            rows.append(entry)
-        report["rows"] = rows
+        report["rows"] = [
+            {"parts": parts, "label": label, **dict(zip(("x", "y"), xy))}
+            for parts, label, xy in table
+        ]
         _write_json(args.output, report)
     else:
-        header = names + [args.label_column] + (["x", "y"] if ternary else [])
-        rows = []
-        for row, lab in zip(transformed, data.labels):
-            record = [repr(float(v)) for v in row] + [data.classes[lab]]
-            if ternary:
-                point = ternary_embed(row)
-                record += [repr(point.x), repr(point.y)]
-            rows.append(record)
+        header = list(data.feature_names) + [args.label_column]
+        header += ["x", "y"] if ternary else []
+        rows = (
+            [repr(v) for v in parts] + [label] + [repr(v) for v in xy]
+            for parts, label, xy in table
+        )
         _write_csv(args.output, header, rows)
         _write_meta(args.output, report)
     return 0
@@ -305,21 +292,16 @@ def _cmd_loci(args) -> int:
         "format": args.format,
     }
     report = _envelope("loci", config)
-    report["n_points"] = len(field.points)
+    header = ["c1", "c2", "c3", "x", "y", "value"]
+    table = np.column_stack(
+        [field.parts, ternary_embed(field.parts), field.values]
+    ).tolist()
+    report["n_points"] = len(table)
     if args.format == "json":
-        report["points"] = [
-            {"c1": p.parts[0], "c2": p.parts[1], "c3": p.parts[2],
-             "x": p.x, "y": p.y, "value": float(v)}
-            for p, v in zip(field.points, field.values)
-        ]
+        report["points"] = [dict(zip(header, row)) for row in table]
         _write_json(args.output, report)
     else:
-        rows = [
-            [repr(p.parts[0]), repr(p.parts[1]), repr(p.parts[2]),
-             repr(p.x), repr(p.y), repr(float(v))]
-            for p, v in zip(field.points, field.values)
-        ]
-        _write_csv(args.output, ["c1", "c2", "c3", "x", "y", "value"], rows)
+        _write_csv(args.output, header, ([repr(v) for v in row] for row in table))
         _write_meta(args.output, report)
     return 0
 
@@ -371,11 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
         "tune", help="grid search over (alpha, k) with repeated stratified holdout"
     )
     _add_dataset_flags(p_tune)
-    p_tune.add_argument("--family", choices=GRID_FAMILIES, required=True)
+    p_tune.add_argument("--family", choices=FAMILIES, required=True)
     p_tune.add_argument(
         "--alphas",
         default="-1:1:0.1",
-        help="alpha grid, e.g. --alphas=-1:1:0.1 (ignored for aitchison)",
+        help="alpha grid, e.g. --alphas=-1:1:0.1; used by "
+        + " and ".join(POWER_FAMILIES)
+        + ", ignored by the families without a power parameter",
     )
     p_tune.add_argument("--k", default="1:15", help="k grid, e.g. 1:15 or 2,3")
     p_tune.add_argument("--B", type=int, default=200, help="number of replications")

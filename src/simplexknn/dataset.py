@@ -108,6 +108,13 @@ def ingest_csv(
     closed to unit sum unless already within 1e-9 of it. The class catalog
     follows first appearance order.
     """
+    return _read_csv(path, label_column, drop_columns)[0]
+
+
+def _read_csv(
+    path, label_column: str, drop_columns: tuple[str, ...]
+) -> tuple[LabeledDataset, list[str]]:
+    """ingest_csv plus the drop columns that were present in the header."""
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -186,7 +193,8 @@ def ingest_csv(
             catalog.append(lab)
         labels[i] = index[lab]
 
-    return LabeledDataset(matrix, labels, tuple(catalog), tuple(feature_names))
+    data = LabeledDataset(matrix, labels, tuple(catalog), tuple(feature_names))
+    return data, dropped
 
 
 def write_csv(data: LabeledDataset, path, label_column: str = "class") -> None:

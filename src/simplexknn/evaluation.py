@@ -26,7 +26,7 @@ one-vs-rest ROC curves with trapezoidal AUC.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,10 +45,9 @@ from .knn import (
     _rank_neighbors,
     _vote,
 )
-from .metrics import MetricSpec
+from .metrics import POWER_FAMILIES, MetricSpec
 
 __all__ = [
-    "SplitPlan",
     "allocate_test_counts",
     "stratified_holdout",
     "confusion_matrix",
@@ -61,18 +60,6 @@ __all__ = [
     "roc_curve",
     "auc",
 ]
-
-GRID_FAMILIES = ("esov", "tc", "aitchison")
-
-
-@dataclass(frozen=True)
-class SplitPlan:
-    """Per-class test allocation for one replication of one seed."""
-
-    test_count_per_class: tuple[int, ...]
-    seed: int
-    replication_index: int
-
 
 def allocate_test_counts(class_counts, test_total: int) -> np.ndarray:
     """Largest-remainder allocation of test rows over classes.
@@ -157,14 +144,6 @@ def stratified_holdout(
     return data.subset(train_idx), data.subset(test_idx)
 
 
-def split_plan(
-    data: LabeledDataset, test_total: int, seed: int, replication_index: int
-) -> SplitPlan:
-    """The per-class allocation that stratified_holdout will use."""
-    alloc = allocate_test_counts(data.class_counts(), test_total)
-    return SplitPlan(tuple(int(a) for a in alloc), seed, replication_index)
-
-
 def confusion_matrix(truth, predicted, n_classes: int | None = None) -> np.ndarray:
     """Counts[t][p] of true class t predicted as p."""
     truth = np.asarray(truth, dtype=np.intp)
@@ -244,7 +223,6 @@ class GridResult:
     classes: tuple[str, ...]
     split_digest: str
     cells: tuple[GridCell, ...]
-    shared_splits: bool = field(default=True)
 
     def cell(self, alpha: float | None, k: int) -> GridCell:
         for c in self.cells:
@@ -270,7 +248,6 @@ class GridResult:
             "test_total": self.test_total,
             "seed": self.seed,
             "classes": list(self.classes),
-            "shared_splits": self.shared_splits,
             "split_digest": self.split_digest,
             "cells": [c.to_dict() for c in self.cells],
         }
@@ -339,17 +316,16 @@ def grid_search(
     fails every cell of the offending alpha with a diagnostic naming the
     first offending dataset row and column; other cells are unaffected.
     Every row is in some replication's split, so the domain is checked once
-    on the whole dataset. For the aitchison family the alpha grid is ignored
-    and cells carry alpha=None.
+    on the whole dataset. Families without a power parameter ignore the
+    alpha grid and their cells carry alpha=None.
     """
-    if family not in GRID_FAMILIES:
-        raise ValueError(f"family must be one of {GRID_FAMILIES}, got {family!r}")
+    MetricSpec(family)  # raises ValueError for an unknown family
     if B < 1:
         raise ValueError("B must be at least 1")
     ks = tuple(dict.fromkeys(int(k) for k in ks))
     if not ks or min(ks) < 1:
         raise ValueError("ks must be positive integers")
-    if family == "aitchison":
+    if family not in POWER_FAMILIES:
         alphas_eff: tuple = (None,)
         alphas_out = None
     else:
@@ -389,7 +365,7 @@ def grid_search(
                 for k in ks
             )
             continue
-        dist = _distance_matrix(prepared, prepared, family)
+        dist = _distance_matrix(prepared, prepared, mspec)
         order = np.argsort(dist, axis=1, kind="stable")
         acc, sens, spec = _replication_stats(data, dist, order, splits, ks)
         for ki, k in enumerate(ks):
@@ -436,7 +412,7 @@ def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
         )
     prepared = _prepared_dataset(data, config.spec)
     counts = np.empty((len(data), data.n_classes), dtype=np.intp)
-    for start, block in _distance_blocks(prepared, prepared, config.spec.family):
+    for start, block in _distance_blocks(prepared, prepared, config.spec):
         rows = np.arange(block.shape[0])
         block[rows, start + rows] = np.inf
         sel = _rank_neighbors(block, k)
@@ -496,12 +472,12 @@ def roc_curve(scores, truth, class_index: int, k: int | None = None) -> RocCurve
         predicted = col >= t
         tpr[i] = int((predicted & positive).sum()) / n_pos
         fpr[i] = int((predicted & ~positive).sum()) / n_neg
-    order = np.lexsort((tpr, fpr))  # already sorted by construction; contract
+    # thresholds descend, so fpr and tpr are already non-decreasing
     return RocCurve(
         class_index=int(class_index),
-        fpr=tuple(float(v) for v in fpr[order]),
-        tpr=tuple(float(v) for v in tpr[order]),
-        thresholds=tuple(float(v) for v in thresholds[order]),
+        fpr=tuple(float(v) for v in fpr),
+        tpr=tuple(float(v) for v in tpr),
+        thresholds=tuple(float(v) for v in thresholds),
     )
 
 

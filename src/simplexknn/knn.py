@@ -20,23 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    InsufficientTraining,
-    NegativeComponent,
-    ZeroInAitchison,
-    ZeroUnderNegativePower,
-)
-from .metrics import (
-    MetricSpec,
-    angular_distance,
-    aitchison_distance,
-    esov_distance,
-    hellinger_distance,
-    taxicab_distance,
-)
-from .simplex import power_transform
+from .errors import DimensionMismatch, InsufficientTraining
+from .metrics import MetricSpec
 
 __all__ = [
     "NeighborConfig",
@@ -44,14 +29,6 @@ __all__ = [
     "classify",
     "membership_scores",
 ]
-
-_PLAIN = {
-    "esov": esov_distance,
-    "tc": taxicab_distance,
-    "aitchison": aitchison_distance,
-    "hellinger": hellinger_distance,
-    "angular": angular_distance,
-}
 
 
 @dataclass(frozen=True)
@@ -71,63 +48,29 @@ class NeighborConfig:
         object.__setattr__(self, "k", int(self.k))
 
 
-def _check_rows(
-    rows: np.ndarray, spec: MetricSpec, role: str, names=None
-) -> None:
-    """Domain validation with the offending row named in the message.
-
-    With names (one per column) a zero part is reported by column name,
-    otherwise by column index.
-    """
-    if not np.all(np.isfinite(rows)):
-        bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
-        raise DegenerateInput(f"{role} row {bad} contains non-finite parts")
-    if np.any(rows < 0):
-        bad = int(np.argwhere((rows < 0).any(axis=1))[0, 0])
-        raise NegativeComponent(f"{role} row {bad} contains negative parts")
-    needs_positive = spec.family == "aitchison" or (
-        spec.family in ("esov", "tc") and spec.alpha < 0
-    )
-    if needs_positive and np.any(rows == 0):
-        where = np.argwhere((rows == 0).any(axis=1))
-        bad = int(where[0, 0])
-        col = int(np.argwhere(rows[bad] == 0)[0, 0])
-        part = f"part {col}" if names is None else f"column {names[col]}"
-        msg = f"{role} row {bad}, {part} is zero"
-        if spec.family == "aitchison":
-            raise ZeroInAitchison(msg)
-        raise ZeroUnderNegativePower(msg + f" under alpha={spec.alpha:g}")
-
-
-def _prepare(rows: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    if spec.family in ("esov", "tc") and spec.alpha != 1.0:
-        return power_transform(rows, spec.alpha)
-    return rows
-
-
 # Query rows per kernel call: the broadcast temporary is (_BLOCK_ROWS, n, D),
 # so memory grows linearly in the number of training rows, not quadratically.
 _BLOCK_ROWS = 32
 
 
-def _distance_blocks(queries: np.ndarray, train: np.ndarray, family: str):
+def _distance_blocks(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
     """Yield (start, distances of queries[start:start + _BLOCK_ROWS]).
 
     Both arguments are already prepared (validated and power-transformed).
     Each entry is computed exactly as an unblocked kernel call would.
     """
-    kernel = _PLAIN[family]
+    kernel = spec.kernel
     for start in range(0, queries.shape[0], _BLOCK_ROWS):
         block = queries[start : start + _BLOCK_ROWS]
         yield start, kernel(block[:, None, :], train[None, :, :])
 
 
 def _distance_matrix(
-    queries: np.ndarray, train: np.ndarray, family: str
+    queries: np.ndarray, train: np.ndarray, spec: MetricSpec
 ) -> np.ndarray:
     """All of _distance_blocks assembled into one (m, n) matrix."""
     out = np.empty((queries.shape[0], train.shape[0]))
-    for start, block in _distance_blocks(queries, train, family):
+    for start, block in _distance_blocks(queries, train, spec):
         out[start : start + block.shape[0]] = block
     return out
 
@@ -137,8 +80,8 @@ def _prepared_dataset(data: LabeledDataset, spec: MetricSpec) -> np.ndarray:
 
     A domain error names the dataset row and, when known, the column.
     """
-    _check_rows(data.rows, spec, "dataset", data.feature_names)
-    return _prepare(data.rows, spec)
+    spec.check_rows(data.rows, "dataset", data.feature_names)
+    return spec.prepare(data.rows)
 
 
 def pairwise_distances(
@@ -161,11 +104,9 @@ def pairwise_distances(
         raise DimensionMismatch(
             f"queries have {q.shape[1]} parts, training rows have {train.n_parts}"
         )
-    _check_rows(q, spec, "query")
-    _check_rows(train.rows, spec, "training")
-    qt = _prepare(q, spec)
-    tt = _prepare(train.rows, spec)
-    out = _distance_matrix(qt, tt, spec.family)
+    spec.check_rows(q, "query")
+    spec.check_rows(train.rows, "training")
+    out = _distance_matrix(spec.prepare(q), spec.prepare(train.rows), spec)
     return out[0] if single else out
 
 

@@ -19,7 +19,6 @@ from .metrics import MetricSpec, distance
 from .simplex import power_transform
 
 __all__ = [
-    "TernaryPoint",
     "ternary_embed",
     "transform_dataset",
     "DistanceField",
@@ -33,39 +32,25 @@ _HEIGHT = math.sqrt(3.0) / 2.0
 DEFAULT_RESOLUTION = 200
 
 
-@dataclass(frozen=True)
-class TernaryPoint:
-    """A 3-part composition and its position in the plot triangle.
+def ternary_embed(c) -> np.ndarray:
+    """Map 3-part compositions (..., 3) onto plot coordinates (..., 2).
 
     The embedding is the affine barycentric map with vertices (0, 0), (1, 0)
     and (0.5, sqrt(3)/2) for the first, second and third part respectively.
     """
-
-    parts: tuple[float, float, float]
-    x: float
-    y: float
-
-
-def ternary_embed(c) -> TernaryPoint:
-    """Map a 3-part composition onto plot coordinates."""
     c = np.asarray(c, dtype=float)
-    if c.shape != (3,):
+    if c.ndim == 0 or c.shape[-1] != 3:
         raise DimensionMismatch(f"ternary embedding needs 3 parts, got {c.shape}")
-    return TernaryPoint(
-        parts=(float(c[0]), float(c[1]), float(c[2])),
-        x=float(c[1] + 0.5 * c[2]),
-        y=float(_HEIGHT * c[2]),
-    )
+    return np.stack([c[..., 1] + 0.5 * c[..., 2], _HEIGHT * c[..., 2]], axis=-1)
 
 
-def transform_dataset(data: LabeledDataset, alpha: float) -> list[TernaryPoint]:
-    """Power-transform every row of a 3-part dataset and embed it."""
+def transform_dataset(data: LabeledDataset, alpha: float) -> np.ndarray:
+    """Power-transform every row of a 3-part dataset and embed it: (n, 2)."""
     if data.n_parts != 3:
         raise DimensionMismatch(
             f"ternary transform needs 3-part data, got D={data.n_parts}"
         )
-    transformed = power_transform(data.rows, alpha)
-    return [ternary_embed(row) for row in transformed]
+    return ternary_embed(power_transform(data.rows, alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,19 +59,22 @@ class DistanceField:
 
     The lattice is {(i/n, j/n, (n-i-j)/n) : i + j <= n} in row-major (i, j)
     order, intersected with the metric's domain: boundary points are skipped
-    (never imputed) for metrics that require strictly positive parts.
+    (never imputed) for metrics that require strictly positive parts. parts
+    is the (m, 3) array of lattice compositions, values the (m,) distances;
+    ternary_embed(parts) gives their plot coordinates.
     """
 
     n: int
     spec: MetricSpec
     reference: tuple[float, float, float]
-    points: tuple[TernaryPoint, ...]
+    parts: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        for name in ("parts", "values"):
+            array = np.asarray(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
@@ -96,30 +84,18 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
     ref = np.asarray(reference, dtype=float)
     if ref.shape != (3,):
         raise DimensionMismatch(f"reference needs 3 parts, got shape {ref.shape}")
-    distance(spec, ref, ref)  # probes the reference against the metric's domain
+    spec.check_rows(ref[None, :], "reference")
 
-    ii, jj = [], []
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            ii.append(i)
-            jj.append(j)
-    ii = np.asarray(ii)
-    jj = np.asarray(jj)
+    ii, jj = np.triu_indices(n + 1)
+    jj = jj - ii
     parts = np.stack([ii, jj, n - ii - jj], axis=1) / n
+    if spec.needs_positive:
+        parts = parts[(parts > 0).all(axis=1)]
 
-    needs_positive = spec.family == "aitchison" or (
-        spec.family in ("esov", "tc") and spec.alpha < 0
-    )
-    if needs_positive:
-        keep = (parts > 0).all(axis=1)
-        parts = parts[keep]
-
-    values = distance(spec, parts, ref)
-    points = tuple(ternary_embed(row) for row in parts)
     return DistanceField(
         n=n,
         spec=spec,
         reference=(float(ref[0]), float(ref[1]), float(ref[2])),
-        points=points,
-        values=values,
+        parts=parts,
+        values=distance(spec, parts, ref),
     )

@@ -13,7 +13,9 @@ Five families:
 
 All logarithms are natural. Zero parts contribute exactly 0 to the esov sum
 (0 log 0 = 0, handled by branching rather than by adding an epsilon). Every
-function broadcasts: scalars out for 1-D inputs, arrays out for stacked rows.
+function broadcasts: scalars out for 1-D inputs, arrays out for stacked rows,
+and rejects negative parts (NegativeComponent) and non-finite parts
+(DegenerateInput), like power_transform does.
 Summations run through numpy's pairwise reduction, which keeps the mixed-
 magnitude terms of the power-transformed variants well conditioned.
 """
@@ -24,8 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroInAitchison
-from .simplex import power_transform
+from .errors import (
+    DegenerateInput,
+    DimensionMismatch,
+    NegativeComponent,
+    ZeroInAitchison,
+    ZeroUnderNegativePower,
+)
+from .simplex import _validated, power_transform
 
 __all__ = [
     "FAMILIES",
@@ -47,10 +55,11 @@ POWER_FAMILIES = ("esov", "tc")
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A metric family plus its power parameter.
+    """A metric family plus its power parameter: the one home of per-family facts.
 
     alpha is meaningful only for the esov and tc families and is fixed at 1
-    for the others.
+    for the others. Callers measure distances as kernel(prepare(x),
+    prepare(w)) and check rows against the domain with check_rows.
     """
 
     family: str
@@ -69,10 +78,46 @@ class MetricSpec:
         if self.family not in POWER_FAMILIES and self.alpha != 1.0:
             raise ValueError(f"alpha is fixed at 1 for the {self.family} family")
 
+    @property
+    def needs_positive(self) -> bool:
+        """Whether a zero part lies outside the metric's domain."""
+        # alpha is 1 outside POWER_FAMILIES, so alpha < 0 implies a power family
+        return self.family == "aitchison" or self.alpha < 0
+
+    @property
+    def kernel(self):
+        """The plain distance function of the family, applied to prepared rows."""
+        return _KERNELS[self.family]
+
+    def prepare(self, rows):
+        """rows as the kernel measures them: power-transformed unless alpha is 1."""
+        return rows if self.alpha == 1.0 else power_transform(rows, self.alpha)
+
+    def check_rows(self, rows: np.ndarray, role: str, names=None) -> None:
+        """Domain validation of an (n, D) matrix, naming the offending row.
+
+        With names (one per column) a zero part is reported by column name,
+        otherwise by column index.
+        """
+        if not np.all(np.isfinite(rows)):
+            bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
+            raise DegenerateInput(f"{role} row {bad} contains non-finite parts")
+        if np.any(rows < 0):
+            bad = int(np.argwhere((rows < 0).any(axis=1))[0, 0])
+            raise NegativeComponent(f"{role} row {bad} contains negative parts")
+        if self.needs_positive and np.any(rows == 0):
+            bad = int(np.argwhere((rows == 0).any(axis=1))[0, 0])
+            col = int(np.argwhere(rows[bad] == 0)[0, 0])
+            part = f"part {col}" if names is None else f"column {names[col]}"
+            msg = f"{role} row {bad}, {part} is zero"
+            if self.family == "aitchison":
+                raise ZeroInAitchison(msg)
+            raise ZeroUnderNegativePower(msg + f" under alpha={self.alpha:g}")
+
 
 def _paired(x, w) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
+    x = _validated(x)
+    w = _validated(w)
     if x.shape[-1] != w.shape[-1]:
         raise DimensionMismatch(
             f"compositions have {x.shape[-1]} and {w.shape[-1]} parts"
@@ -150,20 +195,15 @@ def angular_distance(x, w):
     return np.arccos(dot)
 
 
+_KERNELS = {
+    "esov": esov_distance,
+    "tc": taxicab_distance,
+    "aitchison": aitchison_distance,
+    "hellinger": hellinger_distance,
+    "angular": angular_distance,
+}
+
+
 def distance(spec: MetricSpec, x, w):
-    """Dispatch to the family selected by spec; esov/tc honour spec.alpha."""
-    if spec.family == "esov":
-        if spec.alpha == 1.0:
-            return esov_distance(x, w)
-        return esov_alpha_distance(x, w, spec.alpha)
-    if spec.family == "tc":
-        if spec.alpha == 1.0:
-            return taxicab_distance(x, w)
-        return taxicab_alpha_distance(x, w, spec.alpha)
-    if spec.family == "aitchison":
-        return aitchison_distance(x, w)
-    if spec.family == "hellinger":
-        return hellinger_distance(x, w)
-    if spec.family == "angular":
-        return angular_distance(x, w)
-    raise ValueError(f"unknown family {spec.family!r}")
+    """Distance between x and w under spec; esov/tc honour spec.alpha."""
+    return spec.kernel(spec.prepare(x), spec.prepare(w))

@@ -70,7 +70,9 @@ def power_transform(x, alpha: float) -> np.ndarray:
       * alpha < 0: any zero part is an error, the transform diverges there.
 
     Parts are rescaled by the row maximum (or minimum for negative alpha)
-    before exponentiation so extreme alpha values cannot overflow.
+    before exponentiation so extreme alpha values cannot overflow. They can
+    underflow: a positive part far below the scale may map to exactly 0, e.g.
+    alpha=1e6 maps [.5, .5-1e-12, 1e-12] to [.5000005, .4999995, 0.].
     """
     x = _validated(x)
     if not np.isfinite(alpha):

@@ -385,8 +385,8 @@ def test_criterion_11_loci_symmetry():
     for spec in specs:
         field = distance_field(spec, barycentre(3), n)
         by_key = {
-            tuple(round(p * n) for p in point.parts): v
-            for point, v in zip(field.points, field.values)
+            tuple(round(p * n) for p in parts): v
+            for parts, v in zip(field.parts.tolist(), field.values)
         }
         for (i, j, l), value in by_key.items():
             for perm in ((i, l, j), (j, i, l), (j, l, i), (l, i, j), (l, j, i)):

@@ -220,7 +220,22 @@ class TestLociCommand:
              "--reference", "0.5,0.5,0", "--output", str(tmp_path / "x.csv")]
         )
         assert rc == 1
-        assert "degenerate" in capsys.readouterr().err
+        assert "reference row 0, part 2 is zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "reference, message",
+        [("-0.1,0.6,0.5", "contains negative parts"),
+         ("nan,0.5,0.5", "contains non-finite parts")],
+    )
+    def test_reference_off_the_simplex_fails(self, tmp_path, capsys, reference, message):
+        out = tmp_path / "x.csv"
+        rc = main(
+            ["loci", "--family", "esov", "--n", "3", f"--reference={reference}",
+             "--output", str(out)]
+        )
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDistCommand:

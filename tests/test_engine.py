@@ -109,11 +109,14 @@ def test_power_families_match_per_replication_path(family):
     assert [c.to_dict() for c in result.cells] == expected
 
 
-def test_aitchison_matches_per_replication_path():
+@pytest.mark.parametrize("family", ["aitchison", "hellinger", "angular"])
+def test_alpha_free_families_match_per_replication_path(family):
+    # the alpha grid is ignored: one alpha=None column
     data = lattice_dataset(10, interior=True)
     kwargs = dict(B=6, test_total=12, seed=23)
-    result = grid_search(data, [0.5], KS, "aitchison", **kwargs)
-    expected = reference_cells(data, None, KS, "aitchison", **kwargs)
+    result = grid_search(data, [0.5], KS, family, **kwargs)
+    assert result.alphas is None
+    expected = reference_cells(data, None, KS, family, **kwargs)
     assert [c.to_dict() for c in result.cells] == expected
 
 

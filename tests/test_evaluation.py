@@ -13,7 +13,6 @@ from simplexknn import (
     loocv_scores,
     membership_scores,
     sensitivity_specificity,
-    split_plan,
     stratified_holdout,
 )
 
@@ -77,9 +76,9 @@ class TestStratifiedHoldout:
         assert {tuple(r) for r in stacked} == original
 
     def test_per_class_counts_match_plan(self, blob_dataset):
-        plan = split_plan(blob_dataset, 6, seed=9, replication_index=0)
+        plan = allocate_test_counts(blob_dataset.class_counts(), 6)
         _, test = stratified_holdout(blob_dataset, 6, seed=9, replication_index=0)
-        np.testing.assert_array_equal(test.class_counts(), plan.test_count_per_class)
+        np.testing.assert_array_equal(test.class_counts(), plan)
         assert test.class_counts().min() >= 1
 
     def test_same_seed_same_split(self, blob_dataset):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from simplexknn import (
+    DegenerateInput,
     DimensionMismatch,
     LabeledDataset,
     MetricSpec,
+    NegativeComponent,
     ZeroInAitchison,
     ZeroUnderNegativePower,
     barycentre,
@@ -31,24 +33,33 @@ def lattice_index(n):
 
 class TestTernaryEmbed:
     def test_vertices(self):
-        assert (ternary_embed([1, 0, 0]).x, ternary_embed([1, 0, 0]).y) == (0.0, 0.0)
-        assert (ternary_embed([0, 1, 0]).x, ternary_embed([0, 1, 0]).y) == (1.0, 0.0)
-        apex = ternary_embed([0, 0, 1])
-        assert (apex.x, apex.y) == (0.5, ROOT3 / 2)
+        assert tuple(ternary_embed([1, 0, 0])) == (0.0, 0.0)
+        assert tuple(ternary_embed([0, 1, 0])) == (1.0, 0.0)
+        assert tuple(ternary_embed([0, 0, 1])) == (0.5, ROOT3 / 2)
 
     def test_centroid(self):
-        point = ternary_embed([1 / 3, 1 / 3, 1 / 3])
-        assert abs(point.x - 0.5) < 1e-15
-        assert abs(point.y - ROOT3 / 6) < 1e-15
+        x, y = ternary_embed([1 / 3, 1 / 3, 1 / 3])
+        assert abs(x - 0.5) < 1e-15
+        assert abs(y - ROOT3 / 6) < 1e-15
 
     def test_needs_three_parts(self):
         with pytest.raises(DimensionMismatch):
             ternary_embed([0.5, 0.5])
 
+    def test_broadcast_matches_per_row_formula(self):
+        rows = np.random.default_rng(5).dirichlet(np.ones(3), size=(4, 25))
+        xy = ternary_embed(rows)
+        assert xy.shape == (4, 25, 2)
+        expected = [
+            [[c2 + 0.5 * c3, (ROOT3 / 2) * c3] for _, c2, c3 in block]
+            for block in rows.tolist()
+        ]
+        assert xy.tolist() == expected
+
     def test_injective_on_random_pairs(self):
         rng = np.random.default_rng(3)
         pts = rng.dirichlet(np.ones(3), size=50)
-        seen = {(ternary_embed(p).x, ternary_embed(p).y) for p in pts}
+        seen = {tuple(xy) for xy in ternary_embed(pts).tolist()}
         assert len(seen) == 50
 
 
@@ -62,17 +73,18 @@ class TestTransformDataset:
     def test_alpha_one_is_raw_embedding(self):
         data = tiny_ternary_dataset()
         points = transform_dataset(data, 1.0)
+        assert points.shape == (len(data), 2)
         for point, row in zip(points, data.rows):
             raw = ternary_embed(row)
-            assert abs(point.x - raw.x) < 1e-15
-            assert abs(point.y - raw.y) < 1e-15
+            assert abs(point[0] - raw[0]) < 1e-15
+            assert abs(point[1] - raw[1]) < 1e-15
 
     def test_alpha_near_zero_collapses_to_centroid(self):
         data = tiny_ternary_dataset()
         centre = ternary_embed(barycentre(3))
         for point in transform_dataset(data, 1e-8):
-            assert abs(point.x - centre.x) <= 1e-6
-            assert abs(point.y - centre.y) <= 1e-6
+            assert abs(point[0] - centre[0]) <= 1e-6
+            assert abs(point[1] - centre[1]) <= 1e-6
 
     def test_negative_alpha_requires_positive_rows(self):
         data = tiny_ternary_dataset()
@@ -99,11 +111,13 @@ class TestDistanceField:
     def test_row_major_ordering_and_count(self):
         n = 7
         field = distance_field(MetricSpec("tc"), barycentre(3), n)
-        assert len(field.points) == (n + 1) * (n + 2) // 2
-        first = field.points[0].parts
+        assert len(field.parts) == (n + 1) * (n + 2) // 2
+        first = tuple(field.parts[0])
         assert first == (0.0, 0.0, 1.0)  # i=0, j=0 comes first
-        last = field.points[-1].parts
+        last = tuple(field.parts[-1])
         assert last == (1.0, 0.0, 0.0)
+        by_loop = [[i / n, j / n, (n - i - j) / n] for i, j in lattice_index(n)]
+        assert field.parts.tolist() == by_loop
 
     @pytest.mark.parametrize(
         "spec",
@@ -115,8 +129,8 @@ class TestDistanceField:
         n = 15
         field = distance_field(spec, barycentre(3), n)
         by_parts = {
-            tuple(round(p * n) for p in point.parts): v
-            for point, v in zip(field.points, field.values)
+            tuple(round(p * n) for p in parts): v
+            for parts, v in zip(field.parts.tolist(), field.values)
         }
         for (i, j, l), value in by_parts.items():
             for perm in ((i, l, j), (j, i, l), (j, l, i), (l, i, j), (l, j, i)):
@@ -128,14 +142,14 @@ class TestDistanceField:
         boundary = 3 * n  # points with at least one zero part
         for spec in (MetricSpec("aitchison"), MetricSpec("esov", -0.5)):
             field = distance_field(spec, barycentre(3), n)
-            assert len(field.points) == full - boundary
-            assert all(min(p.parts) > 0 for p in field.points)
+            assert len(field.parts) == full - boundary
+            assert all(min(p) > 0 for p in field.parts)
 
     def test_minimum_at_lattice_point_nearest_barycentre(self):
         n = 14  # not divisible by 3: nearest lattice point is off-centre
         for spec in (MetricSpec("esov"), MetricSpec("tc"), MetricSpec("hellinger")):
             field = distance_field(spec, barycentre(3), n)
-            coords = np.array([p.parts for p in field.points])
+            coords = field.parts
             nearest = np.argmin(((coords - 1 / 3) ** 2).sum(axis=1))
             assert field.values[nearest] <= field.values.min() + 1e-12
 
@@ -149,6 +163,10 @@ class TestDistanceField:
             distance_field(MetricSpec("aitchison"), [0.5, 0.5, 0.0], 5)
         with pytest.raises(ZeroUnderNegativePower):
             distance_field(MetricSpec("esov", -1.0), [0.5, 0.5, 0.0], 5)
+        with pytest.raises(NegativeComponent):
+            distance_field(MetricSpec("esov"), [-0.1, 0.6, 0.5], 3)
+        with pytest.raises(DegenerateInput):
+            distance_field(MetricSpec("tc"), [np.nan, 0.5, 0.5], 3)
 
     def test_values_non_negative(self):
         field = distance_field(MetricSpec("esov", 0.5), [0.2, 0.3, 0.5], 8)

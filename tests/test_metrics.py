@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from simplexknn import (
+    DegenerateInput,
     DimensionMismatch,
     MetricSpec,
+    NegativeComponent,
     ZeroInAitchison,
     ZeroUnderNegativePower,
     aitchison_distance,
@@ -169,6 +171,31 @@ class TestAngular:
 
     def test_roundoff_above_one_is_clamped(self):
         assert angular_distance([1.0, 0.0], [1.0 + 1e-16, 0.0]) >= 0.0
+
+
+PLAIN_KERNELS = [
+    esov_distance,
+    taxicab_distance,
+    aitchison_distance,
+    hellinger_distance,
+    angular_distance,
+]
+
+
+@pytest.mark.parametrize("kernel", PLAIN_KERNELS, ids=lambda f: f.__name__)
+class TestInvalidInput:
+    def test_negative_part_rejected(self, kernel):
+        with pytest.raises(NegativeComponent):
+            kernel([-0.1, 1.1], [0.5, 0.5])
+        with pytest.raises(NegativeComponent):
+            kernel([0.5, 0.5], [-0.1, 1.1])
+
+    def test_non_finite_part_rejected(self, kernel):
+        for bad in ([np.nan, 0.5], [np.inf, 0.0]):
+            with pytest.raises(DegenerateInput):
+                kernel(bad, [0.5, 0.5])
+            with pytest.raises(DegenerateInput):
+                kernel([0.5, 0.5], bad)
 
 
 class TestMetricSpec:

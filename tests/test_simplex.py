@@ -84,6 +84,12 @@ class TestPowerTransform:
         with pytest.raises(ZeroUnderNegativePower):
             power_transform([0.5, 0.5, 0.0], -1.0)
 
+    def test_extreme_alpha_underflows_positive_part_to_zero(self):
+        # documented: (1e-12 / 0.5) ** 1e6 is below the smallest double
+        u = power_transform([0.5, 0.5 - 1e-12, 1e-12], 1e6)
+        assert u[2] == 0.0
+        np.testing.assert_allclose(u[:2], [0.5000005, 0.4999995], rtol=1e-9)
+
     def test_negative_alpha_matches_reciprocal_closure(self):
         x = np.array([0.2, 0.3, 0.5])
         np.testing.assert_allclose(
