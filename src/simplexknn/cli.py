@@ -110,7 +110,9 @@ def _envelope(command: str, config: dict) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    with Path(path).open("w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _write_csv(path, header: list[str], rows) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestionError
-from .simplex import SUM_TOLERANCE
+from .simplex import _domain_fault, as_composition
 
 __all__ = ["LabeledDataset", "ingest_csv", "write_csv", "DEFAULT_DROP_COLUMNS"]
 
@@ -104,9 +104,9 @@ def ingest_csv(
 
     Every column except the label and the dropped ones becomes a part.
     Columns listed in drop_columns are ignored when present (by default just
-    "RI"). Rows are validated (numeric, non-negative, not all zero) and
-    closed to unit sum unless already within 1e-9 of it. The class catalog
-    follows first appearance order.
+    "RI"). Rows are validated (numeric, finite, non-negative, not all zero)
+    and closed to unit sum unless already within 1e-9 of it. The class
+    catalog follows first appearance order.
     """
     return _read_csv(path, label_column, drop_columns)[0]
 
@@ -156,24 +156,12 @@ def _read_csv(
             for col, pos in zip(feature_names, feature_pos):
                 token = record[pos].strip()
                 try:
-                    value = float(token)
+                    row.append(float(token))
                 except ValueError:
                     raise IngestionError(
                         f"{path}: line {line_no}, column {col!r}: "
                         f"not numeric: {token!r}"
                     ) from None
-                if not np.isfinite(value):
-                    raise IngestionError(
-                        f"{path}: line {line_no}, column {col!r}: non-finite value"
-                    )
-                if value < 0:
-                    raise IngestionError(
-                        f"{path}: line {line_no}, column {col!r}: "
-                        f"negative value {token}"
-                    )
-                row.append(value)
-            if not any(v > 0 for v in row):
-                raise IngestionError(f"{path}: line {line_no}: all parts are zero")
             parts.append(row)
             raw_labels.append(label)
 
@@ -181,8 +169,14 @@ def _read_csv(
         raise IngestionError(f"{path}: no data rows")
 
     matrix = np.asarray(parts, dtype=float)
-    sums = matrix.sum(axis=1, keepdims=True)
-    matrix = np.where(np.abs(sums - 1.0) <= SUM_TOLERANCE, matrix, matrix / sums)
+    fault = _domain_fault(matrix)
+    if fault is not None:
+        _, row, col, reason = fault
+        where = f"line {row + 2}"
+        if col is not None:
+            where += f", column {feature_names[col]!r}"
+        raise IngestionError(f"{path}: {where} {reason}")
+    matrix = as_composition(matrix)
 
     catalog: list[str] = []
     index = {}

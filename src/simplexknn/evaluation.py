@@ -41,7 +41,6 @@ from .knn import (
     NeighborConfig,
     _distance_blocks,
     _distance_matrix,
-    _prepared_dataset,
     _rank_neighbors,
     _vote,
 )
@@ -357,7 +356,7 @@ def grid_search(
     for alpha in alphas_eff:
         mspec = MetricSpec(family) if alpha is None else MetricSpec(family, alpha)
         try:
-            prepared = _prepared_dataset(data, mspec)
+            prepared = mspec.prepare(data.rows, "dataset", data.feature_names)
         except SimplexKnnError as exc:
             error = f"{type(exc).__name__}: {exc}"
             cells.extend(
@@ -410,7 +409,7 @@ def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
         raise InsufficientTraining(
             f"k={k} exceeds {len(data) - 1} leave-one-out training rows"
         )
-    prepared = _prepared_dataset(data, config.spec)
+    prepared = config.spec.prepare(data.rows, "dataset", data.feature_names)
     counts = np.empty((len(data), data.n_classes), dtype=np.intp)
     for start, block in _distance_blocks(prepared, prepared, config.spec):
         rows = np.arange(block.shape[0])

@@ -56,7 +56,7 @@ _BLOCK_ROWS = 32
 def _distance_blocks(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
     """Yield (start, distances of queries[start:start + _BLOCK_ROWS]).
 
-    Both arguments are already prepared (validated and power-transformed).
+    Both arguments are already prepared by spec.prepare.
     Each entry is computed exactly as an unblocked kernel call would.
     """
     kernel = spec.kernel
@@ -75,24 +75,15 @@ def _distance_matrix(
     return out
 
 
-def _prepared_dataset(data: LabeledDataset, spec: MetricSpec) -> np.ndarray:
-    """Every row of data validated once and prepared for spec's kernel.
-
-    A domain error names the dataset row and, when known, the column.
-    """
-    spec.check_rows(data.rows, "dataset", data.feature_names)
-    return spec.prepare(data.rows)
-
-
 def pairwise_distances(
     train: LabeledDataset, queries, spec: MetricSpec
 ) -> np.ndarray:
     """Matrix of distance(spec, queries[i], train.rows[j]).
 
-    queries is a single composition or a stack of them. Power-family rows
-    are transformed once up front, which is equivalent to (and much faster
-    than) transforming inside every scalar distance call. Query rows are
-    processed in blocks, so no (m, n, D) temporary is built.
+    queries is a single composition or a stack of them. Rows are prepared
+    once up front, which is equivalent to (and much faster than) preparing
+    them inside every scalar distance call. Query rows are processed in
+    blocks, so no (m, n, D) temporary is built.
     """
     q = np.asarray(queries, dtype=float)
     single = q.ndim == 1
@@ -104,9 +95,9 @@ def pairwise_distances(
         raise DimensionMismatch(
             f"queries have {q.shape[1]} parts, training rows have {train.n_parts}"
         )
-    spec.check_rows(q, "query")
-    spec.check_rows(train.rows, "training")
-    out = _distance_matrix(spec.prepare(q), spec.prepare(train.rows), spec)
+    out = _distance_matrix(
+        spec.prepare(q, "query"), spec.prepare(train.rows, "training"), spec
+    )
     return out[0] if single else out
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import DimensionMismatch
-from .metrics import MetricSpec, distance
+from .metrics import MetricSpec
 from .simplex import power_transform
 
 __all__ = [
@@ -84,7 +84,7 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
     ref = np.asarray(reference, dtype=float)
     if ref.shape != (3,):
         raise DimensionMismatch(f"reference needs 3 parts, got shape {ref.shape}")
-    spec.check_rows(ref[None, :], "reference")
+    prepared_ref = spec.prepare(ref[None, :], "reference")
 
     ii, jj = np.triu_indices(n + 1)
     jj = jj - ii
@@ -97,5 +97,5 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
         spec=spec,
         reference=(float(ref[0]), float(ref[1]), float(ref[2])),
         parts=parts,
-        values=distance(spec, parts, ref),
+        values=spec.kernel(spec.prepare(parts), prepared_ref),
     )

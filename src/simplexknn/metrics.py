@@ -13,8 +13,9 @@ Five families:
 
 All logarithms are natural. Zero parts contribute exactly 0 to the esov sum
 (0 log 0 = 0, handled by branching rather than by adding an epsilon). Every
-function broadcasts: scalars out for 1-D inputs, arrays out for stacked rows,
-and rejects negative parts (NegativeComponent) and non-finite parts
+function broadcasts: scalars out for 1-D inputs, arrays out for stacked rows.
+Every function closes rows that are off the simplex, as ingestion does, and
+rejects negative parts (NegativeComponent), non-finite parts and all-zero rows
 (DegenerateInput), like power_transform does.
 Summations run through numpy's pairwise reduction, which keeps the mixed-
 magnitude terms of the power-transformed variants well conditioned.
@@ -26,14 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    NegativeComponent,
-    ZeroInAitchison,
-    ZeroUnderNegativePower,
-)
-from .simplex import _validated, power_transform
+from .errors import DimensionMismatch, ZeroInAitchison, ZeroUnderNegativePower
+from .simplex import _validated, as_composition, power_transform
 
 __all__ = [
     "FAMILIES",
@@ -59,7 +54,7 @@ class MetricSpec:
 
     alpha is meaningful only for the esov and tc families and is fixed at 1
     for the others. Callers measure distances as kernel(prepare(x),
-    prepare(w)) and check rows against the domain with check_rows.
+    prepare(w)); prepare is also the one domain check.
     """
 
     family: str
@@ -89,35 +84,33 @@ class MetricSpec:
         """The plain distance function of the family, applied to prepared rows."""
         return _KERNELS[self.family]
 
-    def prepare(self, rows):
-        """rows as the kernel measures them: power-transformed unless alpha is 1."""
-        return rows if self.alpha == 1.0 else power_transform(rows, self.alpha)
+    def prepare(self, rows, role: str = "composition", names=None) -> np.ndarray:
+        """rows checked against the domain and made ready for the kernel.
 
-    def check_rows(self, rows: np.ndarray, role: str, names=None) -> None:
-        """Domain validation of an (n, D) matrix, naming the offending row.
-
-        With names (one per column) a zero part is reported by column name,
-        otherwise by column index.
+        Rows must be finite and non-negative and not all zero; where the
+        metric excludes zero parts, no part may be zero. Rows off the simplex
+        are closed, then power-transformed unless alpha is 1. An error names
+        the offending row of stacked input as "{role} row i" and a zero part
+        by column name when names (one per column) is given, else by index.
         """
-        if not np.all(np.isfinite(rows)):
-            bad = int(np.argwhere(~np.isfinite(rows).all(axis=1))[0, 0])
-            raise DegenerateInput(f"{role} row {bad} contains non-finite parts")
-        if np.any(rows < 0):
-            bad = int(np.argwhere((rows < 0).any(axis=1))[0, 0])
-            raise NegativeComponent(f"{role} row {bad} contains negative parts")
-        if self.needs_positive and np.any(rows == 0):
-            bad = int(np.argwhere((rows == 0).any(axis=1))[0, 0])
-            col = int(np.argwhere(rows[bad] == 0)[0, 0])
+        rows = _validated(rows, role)
+        if self.needs_positive and not rows.all():
+            zero = rows.reshape(-1, rows.shape[-1]) == 0
+            bad, col = (int(i) for i in np.argwhere(zero)[0])
+            where = role if rows.ndim == 1 else f"{role} row {bad}"
             part = f"part {col}" if names is None else f"column {names[col]}"
-            msg = f"{role} row {bad}, {part} is zero"
+            msg = f"{where}, {part} is zero"
             if self.family == "aitchison":
                 raise ZeroInAitchison(msg)
             raise ZeroUnderNegativePower(msg + f" under alpha={self.alpha:g}")
+        if self.alpha == 1.0:
+            return as_composition(rows)
+        return power_transform(rows, self.alpha)
 
 
 def _paired(x, w) -> tuple[np.ndarray, np.ndarray]:
-    x = _validated(x)
-    w = _validated(w)
+    x = as_composition(x)
+    w = as_composition(w)
     if x.shape[-1] != w.shape[-1]:
         raise DimensionMismatch(
             f"compositions have {x.shape[-1]} and {w.shape[-1]} parts"

@@ -27,24 +27,50 @@ __all__ = [
 SUM_TOLERANCE = 1e-9
 
 
-def _validated(v, name: str = "composition") -> np.ndarray:
+def _domain_fault(rows: np.ndarray):
+    """The first break of the composition rule in an (n, D) matrix, or None.
+
+    The rule, checked in this order over the whole matrix: every part is
+    finite, every part is non-negative, and no row has all parts zero. So a
+    non-finite part is reported even when an earlier row has a negative one.
+    Returns (error class, row, part, reason); part is None for an all-zero row.
+    """
+    for bad, error, reason in (
+        (~np.isfinite(rows), DegenerateInput, "contains non-finite parts"),
+        (rows < 0, NegativeComponent, "contains negative parts"),
+    ):
+        if bad.any():
+            row, part = np.argwhere(bad)[0]
+            return error, int(row), int(part), reason
+    # parts are finite and non-negative here, so a row sums to 0 exactly when
+    # all its parts are 0; a matrix-vector product is the quickest row sum
+    empty = rows @ np.ones(rows.shape[-1]) == 0
+    if empty.any():
+        reason = "is degenerate, all parts are zero"
+        return DegenerateInput, int(empty.argmax()), None, reason
+    return None
+
+
+def _validated(v, role: str = "composition") -> np.ndarray:
+    """v as a float array whose rows follow the composition rule.
+
+    Errors name the offending row as "{role} row i" when v is stacked.
+    """
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] < 2:
-        raise DegenerateInput(f"{name} needs at least 2 parts, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise DegenerateInput(f"{name} contains non-finite parts")
-    if np.any(v < 0):
-        raise NegativeComponent(f"{name} contains negative parts")
+        raise DegenerateInput(f"{role} needs at least 2 parts, got shape {v.shape}")
+    fault = _domain_fault(v.reshape(-1, v.shape[-1]))
+    if fault is not None:
+        error, row, _, reason = fault
+        where = role if v.ndim == 1 else f"{role} row {row}"
+        raise error(f"{where} {reason}")
     return v
 
 
 def closure(v) -> np.ndarray:
     """Scale non-negative parts to unit sum: v / sum(v), row-wise."""
     v = _validated(v)
-    s = v.sum(axis=-1, keepdims=True)
-    if np.any(s <= 0):
-        raise DegenerateInput("all parts are zero; direction is undefined")
-    return v / s
+    return v / v.sum(axis=-1, keepdims=True)
 
 
 def as_composition(v, tol: float = SUM_TOLERANCE) -> np.ndarray:
@@ -55,9 +81,10 @@ def as_composition(v, tol: float = SUM_TOLERANCE) -> np.ndarray:
     """
     v = _validated(v)
     s = v.sum(axis=-1, keepdims=True)
-    if np.any(s <= 0):
-        raise DegenerateInput("all parts are zero; direction is undefined")
-    return np.where(np.abs(s - 1.0) <= tol, v, v / s)
+    on_simplex = np.abs(s - 1.0) <= tol
+    if on_simplex.all():
+        return v
+    return np.where(on_simplex, v, v / s)
 
 
 def power_transform(x, alpha: float) -> np.ndarray:
@@ -79,8 +106,6 @@ def power_transform(x, alpha: float) -> np.ndarray:
         raise ValueError("alpha must be finite")
     positive = x > 0
     n_positive = positive.sum(axis=-1, keepdims=True)
-    if np.any(n_positive == 0):
-        raise DegenerateInput("all parts are zero; direction is undefined")
     if alpha == 0:
         return positive / n_positive
     if alpha < 0:

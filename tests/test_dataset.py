@@ -35,9 +35,13 @@ class TestIngest:
         data = ingest_csv(write(tmp_path, GOOD), "Type")
         np.testing.assert_array_equal(data.rows[2], [0.25, 0.25, 0.5])
 
-    def test_negative_entry_names_row_and_column(self, tmp_path):
-        bad = "a,b,c,Type\n0.5,0.5,0.0,x\n0.5,-0.1,0.6,y\n"
-        with pytest.raises(IngestionError, match=r"line 3.*'b'.*negative"):
+    @pytest.mark.parametrize(
+        "value, fault",
+        [("-0.1", "negative"), ("inf", "non-finite"), ("nan", "non-finite")],
+    )
+    def test_bad_entry_names_row_and_column(self, tmp_path, value, fault):
+        bad = f"a,b,c,Type\n0.5,0.5,0.0,x\n0.5,{value},0.6,y\n"
+        with pytest.raises(IngestionError, match=rf"line 3.*'b'.*{fault}"):
             ingest_csv(write(tmp_path, bad), "Type")
 
     def test_all_zero_row_names_row(self, tmp_path):

@@ -2,7 +2,8 @@
 
 distance, pairwise_distances and distance_field all go through MetricSpec,
 so on the same rows they must agree value for value, and on a row outside
-the domain they must fail with the same exception type.
+the domain they must fail with the same exception type. A row off the
+simplex is closed first, so 4 * GOOD measures exactly like GOOD.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from simplexknn import (
     FAMILIES,
+    DegenerateInput,
     LabeledDataset,
     MetricSpec,
     SimplexKnnError,
@@ -29,6 +31,7 @@ BAD_ROWS = {
     "zero": [0.5, 0.5, 0.0],
     "negative": [-0.1, 0.6, 0.5],
     "nan": [np.nan, 0.5, 0.5],
+    "all-zero": [0.0, 0.0, 0.0],
 }
 
 
@@ -45,10 +48,17 @@ def outcome(call):
 def test_entry_points_agree(spec):
     field = distance_field(spec, GOOD, 9)
     one_row = LabeledDataset(GOOD[None, :], [0], ("a",))
-    np.testing.assert_array_equal(field.values, distance(spec, field.parts, GOOD))
-    np.testing.assert_array_equal(
-        field.values, pairwise_distances(one_row, field.parts, spec)[:, 0]
-    )
+    for ref in (GOOD, 4 * GOOD):
+        train = LabeledDataset(ref[None, :], [0], ("a",))
+        np.testing.assert_array_equal(
+            field.values, distance(spec, field.parts, ref)
+        )
+        np.testing.assert_array_equal(
+            field.values, pairwise_distances(train, field.parts, spec)[:, 0]
+        )
+        np.testing.assert_array_equal(
+            field.values, distance_field(spec, ref, 9).values
+        )
     for name, bad in BAD_ROWS.items():
         outcomes = {
             "distance": outcome(lambda: distance(spec, bad, GOOD)),
@@ -60,3 +70,5 @@ def test_entry_points_agree(spec):
         assert len(set(outcomes.values())) == 1, (name, outcomes)
         if name != "zero" or spec.needs_positive:
             assert outcomes["distance"] is not None, name
+        if name == "all-zero":
+            assert outcomes["distance"] is DegenerateInput, outcomes
