@@ -21,6 +21,8 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Iterator
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,8 +124,16 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_meta(path, payload: dict) -> None:
-    _write_json(f"{path}.meta.json", payload)
+def _write_report(args, report: dict, body, header: list[str], rows) -> None:
+    """Write report | body() as JSON, or header and rows as CSV plus report as sidecar.
+
+    body is called, or the rows iterator consumed, only for its own format.
+    """
+    if args.format == "json":
+        _write_json(args.output, report | body())
+    else:
+        _write_csv(args.output, header, rows)
+        _write_json(f"{args.output}.meta.json", report)
 
 
 def _fmt(value) -> str:
@@ -137,17 +147,15 @@ def _fmt(value) -> str:
 def _cmd_dist(args) -> int:
     data, meta = _load_dataset(args)
     spec = MetricSpec(args.family, args.alpha)
-    matrix = pairwise_distances(data, data.rows, spec).tolist()
+    matrix = pairwise_distances(data, data.rows, spec)
     config = dict(meta, family=args.family, alpha=spec.alpha, format=args.format)
-    report = _envelope("dist", config)
-    if args.format == "json":
-        report["matrix"] = matrix
-        _write_json(args.output, report)
-    else:
-        header = ["row"] + [f"r{j}" for j in range(len(data))]
-        rows = ([i] + [repr(v) for v in row] for i, row in enumerate(matrix))
-        _write_csv(args.output, header, rows)
-        _write_meta(args.output, report)
+    _write_report(
+        args,
+        _envelope("dist", config),
+        lambda: {"matrix": matrix.tolist()},
+        ["row"] + [f"r{j}" for j in range(len(data))],
+        ([i] + [repr(v) for v in row.tolist()] for i, row in enumerate(matrix)),
+    )
     return 0
 
 
@@ -156,31 +164,30 @@ def _cmd_transform(args) -> int:
     transformed = power_transform(data.rows, args.alpha)
     ternary = data.n_parts == 3
     config = dict(meta, alpha=args.alpha, format=args.format)
-    report = _envelope("transform", config)
     # plot coordinates for 3 parts, none otherwise
     coords = ternary_embed(transformed).tolist() if ternary else [[]] * len(data)
     table = zip(
         transformed.tolist(), [data.classes[lab] for lab in data.labels], coords
     )
-    if args.format == "json":
-        report["rows"] = [
+    header = list(data.feature_names) + [args.label_column]
+    header += ["x", "y"] if ternary else []
+    _write_report(
+        args,
+        _envelope("transform", config),
+        lambda: {"rows": [
             {"parts": parts, "label": label, **dict(zip(("x", "y"), xy))}
             for parts, label, xy in table
-        ]
-        _write_json(args.output, report)
-    else:
-        header = list(data.feature_names) + [args.label_column]
-        header += ["x", "y"] if ternary else []
-        rows = (
+        ]},
+        header,
+        (
             [repr(v) for v in parts] + [label] + [repr(v) for v in xy]
             for parts, label, xy in table
-        )
-        _write_csv(args.output, header, rows)
-        _write_meta(args.output, report)
+        ),
+    )
     return 0
 
 
-def _grid_cells_csv(result) -> tuple[list[str], list[list[str]]]:
+def _grid_cells_csv(result) -> tuple[list[str], Iterator[list[str]]]:
     header = ["alpha", "k", "mean_accuracy", "sd_accuracy"]
     for cls in result.classes:
         header += [
@@ -190,17 +197,18 @@ def _grid_cells_csv(result) -> tuple[list[str], list[list[str]]]:
             f"specificity_sd_{cls}",
         ]
     header.append("error")
-    rows = []
-    for cell in result.cells:
-        row = [_fmt(cell.alpha), _fmt(cell.k), _fmt(cell.mean_accuracy),
+
+    def row(cell):
+        out = [_fmt(cell.alpha), _fmt(cell.k), _fmt(cell.mean_accuracy),
                _fmt(cell.sd_accuracy)]
         for c in range(len(result.classes)):
             for stats in (cell.sensitivity_mean, cell.sensitivity_sd,
                           cell.specificity_mean, cell.specificity_sd):
-                row.append(_fmt(stats[c]) if stats is not None else "")
-        row.append(cell.error or "")
-        rows.append(row)
-    return header, rows
+                out.append(_fmt(stats[c]) if stats is not None else "")
+        out.append(cell.error or "")
+        return out
+
+    return header, map(row, result.cells)
 
 
 def _cmd_tune(args) -> int:
@@ -227,17 +235,15 @@ def _cmd_tune(args) -> int:
         format=args.format,
     )
     report = _envelope("tune", config)
-    report["result"] = result.to_dict()
+    # the sidecar of a CSV leaves out the cells, which are the CSV's rows
+    report["result"] = replace(result, cells=()).to_dict()
+    del report["result"]["cells"]
     best = result.best()
     report["best"] = {"alpha": best.alpha, "k": best.k,
                       "mean_accuracy": best.mean_accuracy}
-    if args.format == "json":
-        _write_json(args.output, report)
-    else:
-        header, rows = _grid_cells_csv(result)
-        _write_csv(args.output, header, rows)
-        del report["result"]["cells"]
-        _write_meta(args.output, report)
+    _write_report(
+        args, report, lambda: {"result": result.to_dict()}, *_grid_cells_csv(result)
+    )
     return 0
 
 
@@ -295,16 +301,17 @@ def _cmd_loci(args) -> int:
     }
     report = _envelope("loci", config)
     header = ["c1", "c2", "c3", "x", "y", "value"]
-    table = np.column_stack(
+    points = np.column_stack(
         [field.parts, ternary_embed(field.parts), field.values]
     ).tolist()
-    report["n_points"] = len(table)
-    if args.format == "json":
-        report["points"] = [dict(zip(header, row)) for row in table]
-        _write_json(args.output, report)
-    else:
-        _write_csv(args.output, header, ([repr(v) for v in row] for row in table))
-        _write_meta(args.output, report)
+    report["n_points"] = len(points)
+    _write_report(
+        args,
+        report,
+        lambda: {"points": [dict(zip(header, row)) for row in points]},
+        header,
+        ([repr(v) for v in row] for row in points),
+    )
     return 0
 
 

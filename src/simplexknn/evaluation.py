@@ -151,6 +151,10 @@ def confusion_matrix(truth, predicted, n_classes: int | None = None) -> np.ndarr
         raise ValueError("truth and predicted must have equal length")
     if n_classes is None:
         n_classes = int(max(truth.max(), predicted.max())) + 1
+    for labels in (truth, predicted):
+        outside = labels[(labels < 0) | (labels >= n_classes)]
+        if outside.size:
+            raise ValueError(f"label {outside[0]} is outside [0, {n_classes})")
     cm = np.zeros((n_classes, n_classes), dtype=np.intp)
     np.add.at(cm, (truth, predicted), 1)
     return cm
@@ -459,6 +463,8 @@ def roc_curve(scores, truth, class_index: int, k: int | None = None) -> RocCurve
             f"class {class_index} has {n_pos} positive and {n_neg} negative rows"
         )
     if k is not None:
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k!r}")
         levels = np.arange(k, -1, -1) / k
     else:
         levels = np.unique(col)[::-1]

@@ -14,9 +14,11 @@ Five families:
 All logarithms are natural. Zero parts contribute exactly 0 to the esov sum
 (0 log 0 = 0, handled by branching rather than by adding an epsilon). Every
 function broadcasts: scalars out for 1-D inputs, arrays out for stacked rows.
-Every function closes rows that are off the simplex, as ingestion does, and
-rejects negative parts (NegativeComponent), non-finite parts and all-zero rows
-(DegenerateInput), like power_transform does.
+Every public function is one call of distance, so all validate the same way:
+MetricSpec.prepare closes rows that are off the simplex, as ingestion does,
+and rejects negative parts (NegativeComponent), non-finite parts, all-zero
+rows (DegenerateInput) and zero parts outside the metric's domain. The
+kernels in _KERNELS are plain arithmetic that assume rows prepared so.
 Summations run through numpy's pairwise reduction, which keeps the mixed-
 magnitude terms of the power-transformed variants well conditioned.
 """
@@ -81,7 +83,10 @@ class MetricSpec:
 
     @property
     def kernel(self):
-        """The plain distance function of the family, applied to prepared rows."""
+        """The family's arithmetic; it assumes rows from prepare and checks nothing.
+
+        The public distance functions validate through distance.
+        """
         return _KERNELS[self.family]
 
     def prepare(self, rows, role: str = "composition", names=None) -> np.ndarray:
@@ -108,46 +113,28 @@ class MetricSpec:
         return power_transform(rows, self.alpha)
 
 
-def _paired(x, w) -> tuple[np.ndarray, np.ndarray]:
-    x = as_composition(x)
-    w = as_composition(w)
-    if x.shape[-1] != w.shape[-1]:
-        raise DimensionMismatch(
-            f"compositions have {x.shape[-1]} and {w.shape[-1]} parts"
-        )
-    return x, w
-
-
 def esov_distance(x, w):
     """Square root of the Jensen-Shannon divergence, natural log.
 
     Terms with a zero part contribute 0 via 0 log 0 = 0; parts that are zero
     in both arguments contribute 0 as well, so zeros need no replacement.
     """
-    x, w = _paired(x, w)
-    s = x + w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx = np.where(x > 0, x * np.log(2.0 * x / s), 0.0)
-        tw = np.where(w > 0, w * np.log(2.0 * w / s), 0.0)
-    js = (tx + tw).sum(axis=-1)
-    # roundoff can leave a tiny negative divergence for near-identical inputs
-    return np.sqrt(np.maximum(js, 0.0))
+    return distance(MetricSpec("esov"), x, w)
 
 
 def esov_alpha_distance(x, w, alpha: float):
     """esov distance between the power-transformed arguments."""
-    return esov_distance(power_transform(x, alpha), power_transform(w, alpha))
+    return distance(MetricSpec("esov", alpha), x, w)
 
 
 def taxicab_distance(x, w):
     """Sum of absolute part differences; ranges over [0, 2] on the simplex."""
-    x, w = _paired(x, w)
-    return np.abs(x - w).sum(axis=-1)
+    return distance(MetricSpec("tc"), x, w)
 
 
 def taxicab_alpha_distance(x, w, alpha: float):
     """Taxicab distance between the power-transformed arguments."""
-    return taxicab_distance(power_transform(x, alpha), power_transform(w, alpha))
+    return distance(MetricSpec("tc", alpha), x, w)
 
 
 def aitchison_distance(x, w):
@@ -156,22 +143,12 @@ def aitchison_distance(x, w):
     clr(x)_i = log(x_i / g(x)) with g the geometric mean over all parts;
     requires strictly positive parts in both arguments.
     """
-    x, w = _paired(x, w)
-    if np.any(x <= 0) or np.any(w <= 0):
-        raise ZeroInAitchison(
-            "the log-ratio distance is degenerate with zero (or negative) parts"
-        )
-    lx = np.log(x)
-    lw = np.log(w)
-    cx = lx - lx.mean(axis=-1, keepdims=True)
-    cw = lw - lw.mean(axis=-1, keepdims=True)
-    return np.sqrt(((cx - cw) ** 2).sum(axis=-1))
+    return distance(MetricSpec("aitchison"), x, w)
 
 
 def hellinger_distance(x, w):
     """(1/sqrt 2) * L2 distance between square-rooted parts; in [0, 1]."""
-    x, w = _paired(x, w)
-    return np.sqrt(0.5 * ((np.sqrt(x) - np.sqrt(w)) ** 2).sum(axis=-1))
+    return distance(MetricSpec("hellinger"), x, w)
 
 
 def angular_distance(x, w):
@@ -183,20 +160,55 @@ def angular_distance(x, w):
     root of the parts is NOT taken. The dot product is clamped to [-1, 1]
     before arccos to absorb roundoff.
     """
-    x, w = _paired(x, w)
+    return distance(MetricSpec("angular"), x, w)
+
+
+def _esov(x, w):
+    s = x + w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx = np.where(x > 0, x * np.log(2.0 * x / s), 0.0)
+        tw = np.where(w > 0, w * np.log(2.0 * w / s), 0.0)
+    js = (tx + tw).sum(axis=-1)
+    # roundoff can leave a tiny negative divergence for near-identical inputs
+    return np.sqrt(np.maximum(js, 0.0))
+
+
+def _taxicab(x, w):
+    return np.abs(x - w).sum(axis=-1)
+
+
+def _aitchison(x, w):
+    lx = np.log(x)
+    lw = np.log(w)
+    cx = lx - lx.mean(axis=-1, keepdims=True)
+    cw = lw - lw.mean(axis=-1, keepdims=True)
+    return np.sqrt(((cx - cw) ** 2).sum(axis=-1))
+
+
+def _hellinger(x, w):
+    return np.sqrt(0.5 * ((np.sqrt(x) - np.sqrt(w)) ** 2).sum(axis=-1))
+
+
+def _angular(x, w):
     dot = np.clip((x * w).sum(axis=-1), -1.0, 1.0)
     return np.arccos(dot)
 
 
 _KERNELS = {
-    "esov": esov_distance,
-    "tc": taxicab_distance,
-    "aitchison": aitchison_distance,
-    "hellinger": hellinger_distance,
-    "angular": angular_distance,
+    "esov": _esov,
+    "tc": _taxicab,
+    "aitchison": _aitchison,
+    "hellinger": _hellinger,
+    "angular": _angular,
 }
 
 
 def distance(spec: MetricSpec, x, w):
     """Distance between x and w under spec; esov/tc honour spec.alpha."""
-    return spec.kernel(spec.prepare(x), spec.prepare(w))
+    x = spec.prepare(x)
+    w = spec.prepare(w)
+    if x.shape[-1] != w.shape[-1]:
+        raise DimensionMismatch(
+            f"compositions have {x.shape[-1]} and {w.shape[-1]} parts"
+        )
+    return spec.kernel(x, w)

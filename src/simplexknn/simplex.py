@@ -73,15 +73,15 @@ def closure(v) -> np.ndarray:
     return v / v.sum(axis=-1, keepdims=True)
 
 
-def as_composition(v, tol: float = SUM_TOLERANCE) -> np.ndarray:
-    """Return v unchanged where its sum is within tol of 1, else apply closure.
+def as_composition(v) -> np.ndarray:
+    """Return v unchanged where its sum is within SUM_TOLERANCE of 1, else closed.
 
     Rows already on the simplex keep their exact floating-point values, so
     re-ingesting previously closed data is a no-op.
     """
     v = _validated(v)
     s = v.sum(axis=-1, keepdims=True)
-    on_simplex = np.abs(s - 1.0) <= tol
+    on_simplex = np.abs(s - 1.0) <= SUM_TOLERANCE
     if on_simplex.all():
         return v
     return np.where(on_simplex, v, v / s)

@@ -282,3 +282,87 @@ class TestTransformCommand:
         with out.open(newline="") as fh:
             header = next(csv.reader(fh))
         assert header == ["part1", "part2", "part3", "part4", "kind"]
+
+
+def _float_or_none(text):
+    return None if text == "" else float(text)
+
+
+def _dist_from_csv(header, rows):
+    assert [row[0] for row in rows] == [str(i) for i in range(len(rows))]
+    return [[float(v) for v in row[1:]] for row in rows]
+
+
+def _transform_from_csv(header, rows):
+    n = header.index("kind")
+    return [
+        {"parts": [float(v) for v in row[:n]], "label": row[n],
+         **dict(zip(header[n + 1:], map(float, row[n + 1:])))}
+        for row in rows
+    ]
+
+
+def _tune_from_csv(header, rows):
+    n_classes = (len(header) - 5) // 4
+    cells = []
+    for row in rows:
+        stats = [[_float_or_none(row[4 + 4 * c + s]) for c in range(n_classes)]
+                 for s in range(4)]
+        cells.append({
+            "alpha": _float_or_none(row[0]),
+            "k": int(row[1]),
+            "mean_accuracy": _float_or_none(row[2]),
+            "sd_accuracy": _float_or_none(row[3]),
+            **{name: None if None in values else values
+               for name, values in zip(
+                   ("sensitivity_mean", "sensitivity_sd",
+                    "specificity_mean", "specificity_sd"), stats)},
+            "error": row[-1] or None,
+        })
+    return cells
+
+
+def _loci_from_csv(header, rows):
+    return [dict(zip(header, (float(v) for v in row))) for row in rows]
+
+
+class TestReportFormats:
+    """A JSON report and a CSV with its sidecar carry the same report."""
+
+    DATA = ["--input", "{data}", "--label-column", "kind"]
+    TUNE = ["--alphas=-1,0.5", "--k", "1,3", "--B", "6", "--test-n", "6",
+            "--seed", "3"]
+    CASES = {
+        "dist": (["dist", *DATA, "--family", "tc", "--alpha", "0.5"],
+                 "matrix", _dist_from_csv),
+        "transform": (["transform", *DATA, "--alpha", "0.5"],
+                      "rows", _transform_from_csv),
+        "tune-esov": (["tune", *DATA, "--family", "esov", *TUNE],
+                      "cells", _tune_from_csv),
+        "tune-hellinger": (["tune", *DATA, "--family", "hellinger", *TUNE],
+                           "cells", _tune_from_csv),
+        "loci": (["loci", "--family", "esov", "--alpha=-0.5", "--n", "8",
+                  "--reference=0.2,0.3,0.5"], "points", _loci_from_csv),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_json_equals_csv_and_sidecar(self, case, data_csv, tmp_path):
+        argv, key, from_csv = self.CASES[case]
+        if case == "transform":  # three parts, so rows carry plot coordinates
+            data_csv = tmp_path / "tern.csv"
+            data_csv.write_text("a,b,c,kind\n0.2,0.3,0.5,x\n0,0.2,0.8,y\n")
+        argv = [arg.format(data=data_csv) for arg in argv]
+        as_json, as_csv = tmp_path / "out.json", tmp_path / "out.csv"
+        assert main([*argv, "--format", "json", "--output", str(as_json)]) == 0
+        assert main([*argv, "--format", "csv", "--output", str(as_csv)]) == 0
+
+        report = json.loads(as_json.read_text())
+        sidecar = json.loads((tmp_path / "out.csv.meta.json").read_text())
+        holder = report["result"] if key == "cells" else report
+        values = holder.pop(key)
+        assert report["config"].pop("format") == "json"
+        assert sidecar["config"].pop("format") == "csv"
+        assert report == sidecar
+        with as_csv.open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert values == from_csv(header, rows)

@@ -118,6 +118,19 @@ class TestConfusion:
                 )
         assert cm.sum() == 30
 
+    @pytest.mark.parametrize(
+        "truth, predicted, n_classes, bad",
+        [
+            ([0, -1, 1], [0, 0, 1], None, "-1"),
+            ([0, 1, 1], [0, 0, -2], 2, "-2"),
+            ([0, 1, 2], [0, 1, 1], 2, "2"),
+            ([0, 1, 1], [0, 5, 1], 3, "5"),
+        ],
+    )
+    def test_label_outside_classes_rejected(self, truth, predicted, n_classes, bad):
+        with pytest.raises(ValueError, match=f"label {bad} is outside"):
+            confusion_matrix(truth, predicted, n_classes)
+
     def test_sensitivity_specificity_diagonal(self):
         sens, spec = sensitivity_specificity(np.diag([3, 4, 5]))
         np.testing.assert_array_equal(sens, 1.0)

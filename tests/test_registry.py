@@ -1,9 +1,10 @@
 """Every entry point measures a family the same way.
 
-distance, pairwise_distances and distance_field all go through MetricSpec,
-so on the same rows they must agree value for value, and on a row outside
-the domain they must fail with the same exception type. A row off the
-simplex is closed first, so 4 * GOOD measures exactly like GOOD.
+distance, pairwise_distances, distance_field and the public distance
+functions all go through MetricSpec, so on the same rows they must agree
+value for value, and on a row outside the domain they must fail with the
+same exception type. A row off the simplex is closed first, so 4 * GOOD
+measures exactly like GOOD.
 """
 
 import numpy as np
@@ -15,9 +16,16 @@ from simplexknn import (
     LabeledDataset,
     MetricSpec,
     SimplexKnnError,
+    aitchison_distance,
+    angular_distance,
     distance,
     distance_field,
+    esov_alpha_distance,
+    esov_distance,
+    hellinger_distance,
     pairwise_distances,
+    taxicab_alpha_distance,
+    taxicab_distance,
 )
 from simplexknn.metrics import POWER_FAMILIES
 
@@ -35,6 +43,27 @@ BAD_ROWS = {
 }
 
 
+PLAIN = {
+    "esov": esov_distance,
+    "tc": taxicab_distance,
+    "aitchison": aitchison_distance,
+    "hellinger": hellinger_distance,
+    "angular": angular_distance,
+}
+POWERED = {"esov": esov_alpha_distance, "tc": taxicab_alpha_distance}
+
+
+def public_functions(spec):
+    """The public distance functions that measure like spec, by name."""
+    functions = {}
+    if spec.alpha == 1.0:
+        functions[PLAIN[spec.family].__name__] = PLAIN[spec.family]
+    if spec.family in POWERED:
+        fn = POWERED[spec.family]
+        functions[fn.__name__] = lambda x, w: fn(x, w, spec.alpha)
+    return functions
+
+
 def outcome(call):
     """The exception type call raises, or None when it succeeds."""
     try:
@@ -48,6 +77,7 @@ def outcome(call):
 def test_entry_points_agree(spec):
     field = distance_field(spec, GOOD, 9)
     one_row = LabeledDataset(GOOD[None, :], [0], ("a",))
+    public = public_functions(spec)
     for ref in (GOOD, 4 * GOOD):
         train = LabeledDataset(ref[None, :], [0], ("a",))
         np.testing.assert_array_equal(
@@ -59,6 +89,8 @@ def test_entry_points_agree(spec):
         np.testing.assert_array_equal(
             field.values, distance_field(spec, ref, 9).values
         )
+        for fn in public.values():
+            np.testing.assert_array_equal(field.values, fn(field.parts, ref))
     for name, bad in BAD_ROWS.items():
         outcomes = {
             "distance": outcome(lambda: distance(spec, bad, GOOD)),
@@ -67,6 +99,9 @@ def test_entry_points_agree(spec):
             ),
             "distance_field": outcome(lambda: distance_field(spec, bad, 9)),
         }
+        outcomes.update(
+            (fn_name, outcome(lambda: fn(bad, GOOD))) for fn_name, fn in public.items()
+        )
         assert len(set(outcomes.values())) == 1, (name, outcomes)
         if name != "zero" or spec.needs_positive:
             assert outcomes["distance"] is not None, name

@@ -72,6 +72,12 @@ class TestRocCurve:
         with pytest.raises(UndefinedRoc):
             roc_curve(scores, [0, 0], 0, k=1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        scores = one_vs_rest_scores([0.0, 1.0])
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            roc_curve(scores, [1, 0], 0, k=k)
+
 
 class TestAuc:
     def test_two_point_diagonal(self):
