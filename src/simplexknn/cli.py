@@ -288,8 +288,6 @@ def _cmd_loci(args) -> int:
         if args.reference is None
         else np.asarray([float(t) for t in args.reference.split(",")], dtype=float)
     )
-    if reference.shape != (3,):
-        raise ValueError("reference must have exactly 3 comma-separated parts")
     spec = MetricSpec(args.family, args.alpha)
     field = distance_field(spec, reference, args.n)
     config = {

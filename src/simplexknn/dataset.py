@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestionError
-from .simplex import _domain_fault, as_composition
+from .simplex import _as_composition, _domain_fault
 
 __all__ = ["LabeledDataset", "ingest_csv", "write_csv", "DEFAULT_DROP_COLUMNS"]
 
@@ -176,7 +176,7 @@ def _read_csv(
         if col is not None:
             where += f", column {feature_names[col]!r}"
         raise IngestionError(f"{path}: {where} {reason}")
-    matrix = as_composition(matrix)
+    matrix = _as_composition(matrix)
 
     catalog: list[str] = []
     index = {}

@@ -11,13 +11,15 @@ SeedSequence((seed, replication_index)), which is documented, 64-bit and
 platform independent.
 
 The grid is evaluated by one shared-split engine. Per alpha, the rows are
-validated and power-transformed once, the full distance matrix is built in
-blocks of query rows and every row gets one stable ranking of all columns.
-Each replication then filters its test rows' rankings down to the training
-columns; training indices are ascending, so the (distance, row index) order
-is exactly that of a per-replication matrix. Every k is voted from one prefix
-sum over the ranked neighbours, so results are bit-identical to classifying
-each (replication, alpha, k) cell separately.
+validated and power-transformed once, and distances are streamed in blocks
+of query rows. Each row keeps only its first max(ks) + test_total columns
+in (distance, row index) order, so memory is O(n * (max(ks) + test_total)),
+never n x n. A replication removes test_total columns, the row itself among
+them, so each test row's first max(ks) training columns lie in that prefix;
+filtering it down to the training columns gives exactly the order of a
+per-replication matrix. Every k is voted from one prefix sum over the ranked
+neighbours, so results are bit-identical to classifying each (replication,
+alpha, k) cell separately.
 
 Also here: confusion statistics, leave-one-out membership scores and
 one-vs-rest ROC curves with trapezoidal AUC.
@@ -37,13 +39,7 @@ from .errors import (
     SimplexKnnError,
     UndefinedRoc,
 )
-from .knn import (
-    NeighborConfig,
-    _distance_blocks,
-    _distance_matrix,
-    _rank_neighbors,
-    _vote,
-)
+from .knn import NeighborConfig, _nearest, _vote
 from .metrics import POWER_FAMILIES, MetricSpec
 
 __all__ = [
@@ -256,12 +252,13 @@ class GridResult:
         }
 
 
-def _replication_stats(data, dist, order, splits, ks):
+def _replication_stats(data, indices, dists, splits, ks):
     """Per-replication statistics of every k from one metric's ranking.
 
-    dist is the full (n, n) distance matrix and order its stable row-wise
-    argsort. Returns accuracy (B, K) in percent and sensitivity and
-    specificity (B, K, C).
+    indices and dists are each row's first max(ks) + test_total columns in
+    (distance, row index) order, from _nearest over the whole dataset; each
+    test row's first max(ks) training columns lie in that prefix. Returns
+    accuracy (B, K) in percent and sensitivity and specificity (B, K, C).
     """
     n_classes = data.n_classes
     kmax = max(ks)
@@ -271,12 +268,13 @@ def _replication_stats(data, dist, order, splits, ks):
     cms = np.empty((B, n_ks, n_classes, n_classes), dtype=np.intp)
     k_offset = np.arange(n_ks)[:, None] * n_classes
     for b, (train_mask, test_idx) in enumerate(splits):
-        ranked = order[test_idx]
-        # every row keeps the same number of training columns, in global order
-        sel = ranked[train_mask[ranked]].reshape(test_idx.size, -1)[:, :kmax]
-        winners, _ = _vote(
-            dist[test_idx[:, None], sel], data.labels[sel], ks, n_classes
-        )
+        ranked = indices[test_idx]
+        # every row keeps its first kmax training columns, in global order
+        keep = train_mask[ranked]
+        keep &= np.cumsum(keep, axis=1) <= kmax
+        sel = ranked[keep].reshape(test_idx.size, kmax)
+        ranked_dists = dists[test_idx][keep].reshape(test_idx.size, kmax)
+        winners, _ = _vote(ranked_dists, data.labels[sel], ks, n_classes)
         truth = data.labels[test_idx]
         acc[b] = 100.0 * ((winners == truth).sum(axis=1) / test_idx.size)
         flat = ((k_offset + truth) * n_classes + winners).ravel()
@@ -368,9 +366,8 @@ def grid_search(
                 for k in ks
             )
             continue
-        dist = _distance_matrix(prepared, prepared, mspec)
-        order = np.argsort(dist, axis=1, kind="stable")
-        acc, sens, spec = _replication_stats(data, dist, order, splits, ks)
+        indices, dists = _nearest(prepared, prepared, mspec, max(ks) + test_total)
+        acc, sens, spec = _replication_stats(data, indices, dists, splits, ks)
         for ki, k in enumerate(ks):
             mean_acc, sd_acc = _mean_sd(acc[:, ki])
             sens_stats = [_mean_sd(sens[:, ki, c]) for c in range(n_classes)]
@@ -403,30 +400,16 @@ def grid_search(
 def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
     """Leave-one-out membership scores, one row of per-class fractions per row.
 
-    Row i is scored against the dataset minus row i. The distance matrix is
-    built and ranked in blocks of rows with the diagonal masked, which
-    preserves the (distance, row index) ordering of an explicit per-row
-    holdout without holding the whole matrix. Deterministic.
+    Row i is scored against the dataset minus row i: ranking it with the
+    diagonal excluded preserves the (distance, row index) ordering of an
+    explicit per-row holdout. Distances are streamed in blocks of rows, so
+    memory is O(n * k). Deterministic.
     """
     k = config.k
-    if k > len(data) - 1:
-        raise InsufficientTraining(
-            f"k={k} exceeds {len(data) - 1} leave-one-out training rows"
-        )
     prepared = config.spec.prepare(data.rows, "dataset", data.feature_names)
-    counts = np.empty((len(data), data.n_classes), dtype=np.intp)
-    for start, block in _distance_blocks(prepared, prepared, config.spec):
-        rows = np.arange(block.shape[0])
-        block[rows, start + rows] = np.inf
-        sel = _rank_neighbors(block, k)
-        _, block_counts = _vote(
-            np.take_along_axis(block, sel, axis=1),
-            data.labels[sel],
-            (k,),
-            data.n_classes,
-        )
-        counts[start : start + rows.size] = block_counts[0]
-    return counts / k
+    indices, dists = _nearest(prepared, prepared, config.spec, k, exclude_self=True)
+    _, counts = _vote(dists, data.labels[indices], (k,), data.n_classes)
+    return counts[0] / k
 
 
 @dataclass(frozen=True)

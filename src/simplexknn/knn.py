@@ -65,14 +65,43 @@ def _distance_blocks(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
         yield start, kernel(block[:, None, :], train[None, :, :])
 
 
-def _distance_matrix(
-    queries: np.ndarray, train: np.ndarray, spec: MetricSpec
-) -> np.ndarray:
-    """All of _distance_blocks assembled into one (m, n) matrix."""
-    out = np.empty((queries.shape[0], train.shape[0]))
+def _nearest(
+    queries, train, spec: MetricSpec, kmax: int, exclude_self: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query row's first kmax training columns by (distance, row index).
+
+    Rows are prepared by spec.prepare. With exclude_self, query row i is
+    training row i and never its own neighbour (the LOOCV diagonal). Returns
+    (indices, distances), each (m, kmax); memory is O(m * kmax) plus a block.
+    """
+    n = train.shape[0] - exclude_self
+    if kmax > n:
+        raise InsufficientTraining(f"k={kmax} exceeds {n} training rows")
+    indices = np.empty((queries.shape[0], kmax), dtype=np.intp)
+    distances = np.empty((queries.shape[0], kmax))
     for start, block in _distance_blocks(queries, train, spec):
-        out[start : start + block.shape[0]] = block
-    return out
+        rows = np.arange(block.shape[0])
+        if exclude_self:
+            block[rows, start + rows] = np.inf
+        # a stable sort orders by distance and keeps the lower column first on ties
+        sel = np.argsort(block, axis=1, kind="stable")[:, :kmax]
+        indices[start : start + rows.size] = sel
+        distances[start : start + rows.size] = np.take_along_axis(block, sel, axis=1)
+    return indices, distances
+
+
+def _prepared(train: LabeledDataset, q: np.ndarray, spec: MetricSpec):
+    """(query rows, training rows) prepared by spec; q is one row or a stack."""
+    if q.ndim not in (1, 2):
+        raise DimensionMismatch(f"queries must be 1-D or 2-D, got shape {q.shape}")
+    if q.shape[-1] != train.n_parts:
+        raise DimensionMismatch(
+            f"queries have {q.shape[-1]} parts, training rows have {train.n_parts}"
+        )
+    return (
+        spec.prepare(q.reshape(-1, train.n_parts), "query"),
+        spec.prepare(train.rows, "training"),
+    )
 
 
 def pairwise_distances(
@@ -86,30 +115,11 @@ def pairwise_distances(
     blocks, so no (m, n, D) temporary is built.
     """
     q = np.asarray(queries, dtype=float)
-    single = q.ndim == 1
-    if single:
-        q = q[None, :]
-    if q.ndim != 2:
-        raise DimensionMismatch(f"queries must be 1-D or 2-D, got shape {q.shape}")
-    if q.shape[1] != train.n_parts:
-        raise DimensionMismatch(
-            f"queries have {q.shape[1]} parts, training rows have {train.n_parts}"
-        )
-    out = _distance_matrix(
-        spec.prepare(q, "query"), spec.prepare(train.rows, "training"), spec
-    )
-    return out[0] if single else out
-
-
-def _rank_neighbors(dist: np.ndarray, kmax: int) -> np.ndarray:
-    """First kmax columns per row by (distance, column index).
-
-    A stable sort orders by distance and keeps the lower column first on ties.
-    """
-    n = dist.shape[1]
-    if kmax > n:
-        raise InsufficientTraining(f"k={kmax} exceeds {n} training rows")
-    return np.argsort(dist, axis=1, kind="stable")[:, :kmax]
+    prepared, train_rows = _prepared(train, q, spec)
+    out = np.empty((prepared.shape[0], train_rows.shape[0]))
+    for start, block in _distance_blocks(prepared, train_rows, spec):
+        out[start : start + block.shape[0]] = block
+    return out[0] if q.ndim == 1 else out
 
 
 def _vote(
@@ -141,13 +151,11 @@ def _vote(
 def _knn_vote(
     train: LabeledDataset, query, config: NeighborConfig
 ) -> tuple[int, np.ndarray]:
-    dist = pairwise_distances(train, np.asarray(query, float)[None, :], config.spec)
-    sel = _rank_neighbors(dist, config.k)
+    # one query row: a 2-D query becomes 3-D and fails the shared shape rule
+    prepared = _prepared(train, np.asarray(query, dtype=float)[None], config.spec)
+    indices, dists = _nearest(*prepared, config.spec, config.k)
     winners, counts = _vote(
-        np.take_along_axis(dist, sel, axis=1),
-        train.labels[sel],
-        (config.k,),
-        train.n_classes,
+        dists, train.labels[indices], (config.k,), train.n_classes
     )
     return int(winners[0, 0]), counts[0, 0]
 

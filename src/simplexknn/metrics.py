@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroInAitchison, ZeroUnderNegativePower
-from .simplex import _validated, as_composition, power_transform
+from .simplex import _as_composition, _power_transform, _validated
 
 __all__ = [
     "FAMILIES",
@@ -109,8 +109,8 @@ class MetricSpec:
                 raise ZeroInAitchison(msg)
             raise ZeroUnderNegativePower(msg + f" under alpha={self.alpha:g}")
         if self.alpha == 1.0:
-            return as_composition(rows)
-        return power_transform(rows, self.alpha)
+            return _as_composition(rows)
+        return _power_transform(rows, self.alpha)
 
 
 def esov_distance(x, w):

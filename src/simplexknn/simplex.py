@@ -79,7 +79,11 @@ def as_composition(v) -> np.ndarray:
     Rows already on the simplex keep their exact floating-point values, so
     re-ingesting previously closed data is a no-op.
     """
-    v = _validated(v)
+    return _as_composition(_validated(v))
+
+
+def _as_composition(v: np.ndarray) -> np.ndarray:
+    """as_composition of rows already checked by _validated or _domain_fault."""
     s = v.sum(axis=-1, keepdims=True)
     on_simplex = np.abs(s - 1.0) <= SUM_TOLERANCE
     if on_simplex.all():
@@ -104,6 +108,11 @@ def power_transform(x, alpha: float) -> np.ndarray:
     x = _validated(x)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
+    return _power_transform(x, alpha)
+
+
+def _power_transform(x: np.ndarray, alpha: float) -> np.ndarray:
+    """power_transform of rows already checked by _validated, at finite alpha."""
     positive = x > 0
     n_positive = positive.sum(axis=-1, keepdims=True)
     if alpha == 0:

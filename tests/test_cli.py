@@ -225,7 +225,8 @@ class TestLociCommand:
     @pytest.mark.parametrize(
         "reference, message",
         [("-0.1,0.6,0.5", "contains negative parts"),
-         ("nan,0.5,0.5", "contains non-finite parts")],
+         ("nan,0.5,0.5", "contains non-finite parts"),
+         ("0.5,0.5", "reference needs 3 parts")],
     )
     def test_reference_off_the_simplex_fails(self, tmp_path, capsys, reference, message):
         out = tmp_path / "x.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,22 @@ class TestGridSearch:
         )
         best = result.best()
         assert best.mean_accuracy == max(c.mean_accuracy for c in result.cells)
+
+    @pytest.mark.parametrize("family", ["tc", "esov"])
+    def test_memory_stays_below_one_square_matrix(self, family):
+        # each row keeps max(ks) + test_total ranked columns, never all n
+        n = 2000
+        rng = np.random.default_rng(41)
+        data = LabeledDataset(
+            rng.dirichlet(np.ones(4), size=n), np.arange(n) % 3, ("a", "b", "c")
+        )
+        tracemalloc.start()
+        try:
+            grid_search(data, [0.5], range(1, 16), family, B=2, test_total=60, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * np.dtype(float).itemsize
 
 
 class TestGlassExperiment:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from simplexknn import (
+    DimensionMismatch,
     InsufficientTraining,
     LabeledDataset,
     MetricSpec,
@@ -15,9 +16,10 @@ from simplexknn import (
     membership_scores,
     pairwise_distances,
 )
-from simplexknn.knn import _rank_neighbors, _vote
+from simplexknn.knn import _nearest, _vote
 
 from conftest import compositional_blobs
+from test_engine import lattice_dataset
 
 
 def brute_force_classify(train, query, k, spec):
@@ -154,13 +156,45 @@ class TestClassify:
         ks = (1, 2, 3, 5)
 
         def winners(dist):
-            sel = _rank_neighbors(dist, max(ks))
+            sel = np.argsort(dist, axis=1, kind="stable")[:, : max(ks)]
             ranked = np.take_along_axis(dist, sel, axis=1)
             return _vote(ranked, blob_dataset.labels[sel], ks, 3)[0]
 
         base = winners(m)
         for c in (1.0 / np.sqrt(np.log(10.0)), 3.7):
             np.testing.assert_array_equal(base, winners(c * m))
+
+    @pytest.mark.parametrize("fn", [classify, membership_scores])
+    @pytest.mark.parametrize(
+        "query", [[0.5, 0.5], [[0.4, 0.3, 0.2, 0.1]]], ids=["wrong-parts", "2-D"]
+    )
+    def test_query_must_be_one_row_of_the_training_parts(self, blob_dataset, fn, query):
+        with pytest.raises(DimensionMismatch):
+            fn(blob_dataset, query, NeighborConfig(1, MetricSpec("esov")))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [MetricSpec(f, a) for f in ("esov", "tc") for a in (0.0, 1.0)]
+    + [MetricSpec("angular")],  # d(x, x) > 0: a row need not be its own nearest
+    ids=repr,
+)
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_nearest_matches_full_stable_argsort(spec, exclude_self):
+    # lattice points plus a duplicated block: ties everywhere, over several blocks
+    data = lattice_dataset(8, interior=False)
+    n = len(data)
+    full = pairwise_distances(data, data.rows, spec)
+    if exclude_self:
+        np.fill_diagonal(full, np.inf)
+    order = np.argsort(full, axis=1, kind="stable")
+    prepared = spec.prepare(data.rows)
+    for kmax in (1, 3, n - 1):
+        indices, dists = _nearest(prepared, prepared, spec, kmax, exclude_self)
+        assert (indices == order[:, :kmax]).all()
+        assert (dists == np.take_along_axis(full, indices, axis=1)).all()
+    with pytest.raises(InsufficientTraining):
+        _nearest(prepared, prepared, spec, n + 1 - exclude_self, exclude_self)
 
 
 class TestMembershipScores:

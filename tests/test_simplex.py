@@ -4,6 +4,7 @@ import pytest
 from simplexknn import (
     DegenerateInput,
     DimensionMismatch,
+    MetricSpec,
     NegativeComponent,
     ZeroUnderNegativePower,
     as_composition,
@@ -12,6 +13,7 @@ from simplexknn import (
     perturb,
     power_transform,
 )
+from simplexknn import dataset, simplex
 
 
 class TestClosure:
@@ -158,3 +160,25 @@ def test_barycentre():
     np.testing.assert_array_equal(barycentre(4), [0.25] * 4)
     with pytest.raises(DegenerateInput):
         barycentre(1)
+
+
+def test_each_input_is_checked_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows.shape)
+        return real(rows)
+
+    real = simplex._domain_fault
+    monkeypatch.setattr(simplex, "_domain_fault", counting)
+    monkeypatch.setattr(dataset, "_domain_fault", counting)
+    rows = np.array([[2.0, 1.0, 1.0], [0.2, 0.3, 0.5]])  # one row off the simplex
+    for spec in (MetricSpec("tc"), MetricSpec("esov", 0.5)):
+        calls.clear()
+        spec.prepare(rows)
+        assert calls == [(2, 3)]
+    path = tmp_path / "data.csv"
+    path.write_text("a,b,c,class\n2,1,1,x\n0.2,0.3,0.5,y\n")
+    calls.clear()
+    dataset._read_csv(path, "class", ())
+    assert calls == [(2, 3)]
