@@ -11,13 +11,14 @@ SeedSequence((seed, replication_index)), which is documented, 64-bit and
 platform independent.
 
 The grid is evaluated by one shared-split engine. Per alpha, the rows are
-validated and power-transformed once, and distances are streamed in blocks
-of query rows. Each row keeps only its first max(ks) + test_total columns
-in (distance, row index) order, so memory is O(n * (max(ks) + test_total)),
-never n x n. A replication removes test_total columns, the row itself among
-them, so each test row's first max(ks) training columns lie in that prefix;
-filtering it down to the training columns gives exactly the order of a
-per-replication matrix. Every k is voted from one prefix sum over the ranked
+validated and power-transformed once, and the dataset is measured against
+itself in tiles, each distance computed once (see knn). Each row keeps only
+its first max(ks) + test_total columns in (distance, row index) order, so
+memory is O(n * (max(ks) + test_total)) plus one tile, never n x n. A
+replication removes test_total columns, the row itself among them, so each
+test row's first max(ks) training columns lie in that prefix; filtering it
+down to the training columns gives exactly the order of a per-replication
+matrix. Every k is voted from one prefix sum over the ranked
 neighbours, so results are bit-identical to classifying each (replication,
 alpha, k) cell separately.
 
@@ -402,8 +403,8 @@ def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
 
     Row i is scored against the dataset minus row i: ranking it with the
     diagonal excluded preserves the (distance, row index) ordering of an
-    explicit per-row holdout. Distances are streamed in blocks of rows, so
-    memory is O(n * k). Deterministic.
+    explicit per-row holdout. Distances are streamed in tiles, each pair
+    computed once, so memory is O(n * k) plus one tile. Deterministic.
     """
     k = config.k
     prepared = config.spec.prepare(data.rows, "dataset", data.feature_names)

@@ -3,14 +3,23 @@
 Neighbour selection and voting are fully specified so results are
 reproducible across runs, platforms and thread schedules:
 
-  * neighbours are ordered by (distance, training-row index) via a stable
-    sort, so ties on the k-th distance go to the lower row index;
+  * neighbours are ordered by (distance, training-row index), so ties on
+    the k-th distance go to the lower row index;
   * the majority class wins; vote ties go to the class whose in-neighbourhood
     members have the smaller distance sum, residual ties to the lower class
     index;
   * votes are unweighted, and the membership score of class c is simply
     (neighbours labeled c) / k, so scores sum to 1 and their argmax under the
     same tie rules reproduces classify().
+
+Distances are computed in tiles of at most _BLOCK_ROWS query rows and
+_TILE_PAIRS pairs. A dataset measured against itself (LOOCV, tune, the dist
+command) computes only the tiles from each diagonal block rightwards and
+mirrors them, since every kernel is bitwise symmetric, so each distance is
+computed once. Each row keeps a running set of its k best (distance, row
+index) keys, updated from every tile by one argpartition, and sorts it once
+at the end; no row is ever fully sorted, and memory is O(n * k) plus one
+tile, independent of n.
 """
 
 from __future__ import annotations
@@ -48,21 +57,38 @@ class NeighborConfig:
         object.__setattr__(self, "k", int(self.k))
 
 
-# Query rows per kernel call: the broadcast temporary is (_BLOCK_ROWS, n, D),
-# so memory grows linearly in the number of training rows, not quadratically.
-_BLOCK_ROWS = 32
+# One kernel call measures a tile of at most _BLOCK_ROWS query rows and
+# _TILE_PAIRS pairs: 64 x 64 for LOOCV and tune, one row by 4,096 columns
+# for classify. Its broadcast temporary is at most (_TILE_PAIRS, D), so
+# memory per call is fixed, whatever the number of rows.
+_BLOCK_ROWS = 64
+_TILE_PAIRS = 64 * 64
 
 
-def _distance_blocks(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
-    """Yield (start, distances of queries[start:start + _BLOCK_ROWS]).
+def _tiles(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
+    """Yield (r0, c0, d) with d[i, j] = distance(queries[r0 + i], train[c0 + j]).
 
-    Both arguments are already prepared by spec.prepare.
-    Each entry is computed exactly as an unblocked kernel call would.
+    Both arguments are already prepared by spec.prepare. The items cover
+    the (m, n) matrix exactly once. When queries is train, each pair is
+    computed once: row block [r0, r1) is measured against the columns from
+    r0 on, and the part of each such tile past r1 is yielded again,
+    transposed, for the rows it covers. All kernels are bitwise symmetric,
+    so the mirror equals measuring those rows; the diagonal blocks are
+    computed in full (angular has d(x, x) > 0). Each entry is computed
+    exactly as an unblocked kernel call would.
     """
     kernel = spec.kernel
-    for start in range(0, queries.shape[0], _BLOCK_ROWS):
-        block = queries[start : start + _BLOCK_ROWS]
-        yield start, kernel(block[:, None, :], train[None, :, :])
+    same = queries is train
+    for r0 in range(0, queries.shape[0], _BLOCK_ROWS):
+        block = queries[r0 : r0 + _BLOCK_ROWS, None, :]
+        r1 = r0 + block.shape[0]
+        width = _TILE_PAIRS // block.shape[0]
+        for c0 in range(r0 if same else 0, train.shape[0], width):
+            tile = kernel(block, train[None, c0 : c0 + width, :])
+            yield r0, c0, tile
+            if same and c0 + tile.shape[1] > r1:
+                skip = max(r1 - c0, 0)
+                yield c0 + skip, r0, tile[:, skip:].T
 
 
 def _nearest(
@@ -70,28 +96,53 @@ def _nearest(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each query row's first kmax training columns by (distance, row index).
 
-    Rows are prepared by spec.prepare. With exclude_self, query row i is
-    training row i and never its own neighbour (the LOOCV diagonal). Returns
-    (indices, distances), each (m, kmax); memory is O(m * kmax) plus a block.
+    Rows are prepared by spec.prepare; pass the same array as queries and
+    train to measure a dataset against itself, so each pair is computed
+    once (see _tiles). With exclude_self, query row i is training row i and
+    never its own neighbour (the LOOCV diagonal, masked inside its tile).
+
+    Each candidate is one complex key, distance + 1j * row index. numpy
+    orders complex numbers by real part, then imaginary part, so the keys
+    sort in (distance, row index) order, and no two candidates of a row
+    share a key. One argpartition at kmax - 1 therefore keeps each row's
+    kmax best exactly, ties included, with no tie fallback. Every tile's
+    keys are merged this way into a running set per row, seeded with
+    (inf, n) sentinels, so the result does not depend on tile order; the
+    kept keys are sorted once at the end. Returns (indices, distances),
+    each (m, kmax); memory is O(m * kmax) plus one tile.
     """
-    n = train.shape[0] - exclude_self
-    if kmax > n:
-        raise InsufficientTraining(f"k={kmax} exceeds {n} training rows")
-    indices = np.empty((queries.shape[0], kmax), dtype=np.intp)
-    distances = np.empty((queries.shape[0], kmax))
-    for start, block in _distance_blocks(queries, train, spec):
-        rows = np.arange(block.shape[0])
+    n = train.shape[0]
+    if kmax > n - exclude_self:
+        raise InsufficientTraining(
+            f"k={kmax} exceeds {n - exclude_self} training rows"
+        )
+    best = np.full((queries.shape[0], kmax), complex(np.inf, n))
+    for r0, c0, d in _tiles(queries, train, spec):
+        h, w = d.shape
         if exclude_self:
-            block[rows, start + rows] = np.inf
-        # a stable sort orders by distance and keeps the lower column first on ties
-        sel = np.argsort(block, axis=1, kind="stable")[:, :kmax]
-        indices[start : start + rows.size] = sel
-        distances[start : start + rows.size] = np.take_along_axis(block, sel, axis=1)
-    return indices, distances
+            diag = np.arange(max(r0, c0), min(r0 + h, c0 + w))
+            d[diag - r0, diag - c0] = np.inf
+        rows = slice(r0, r0 + h)
+        keys = np.empty((h, kmax + w), dtype=complex)
+        keys[:, :kmax] = best[rows]
+        keys.real[:, kmax:] = d  # a copy; d + 1j * index would turn -0.0 into 0.0
+        keys.imag[:, kmax:] = np.arange(c0, c0 + w)
+        keep = np.argpartition(keys, kmax - 1, axis=1)[:, :kmax]
+        best[rows] = keys[np.arange(h)[:, None], keep]
+    best.sort(axis=1)
+    return best.imag.astype(np.intp), best.real.copy()
 
 
-def _prepared(train: LabeledDataset, q: np.ndarray, spec: MetricSpec):
-    """(query rows, training rows) prepared by spec; q is one row or a stack."""
+def _prepared(train: LabeledDataset, queries, spec: MetricSpec):
+    """(query rows, training rows) prepared by spec; queries is one row or a stack.
+
+    queries that are train.rows itself are prepared once and returned as
+    both, so _tiles computes each pair once.
+    """
+    if queries is train.rows:
+        rows = spec.prepare(train.rows, "training", train.feature_names)
+        return rows, rows
+    q = np.asarray(queries, dtype=float)
     if q.ndim not in (1, 2):
         raise DimensionMismatch(f"queries must be 1-D or 2-D, got shape {q.shape}")
     if q.shape[-1] != train.n_parts:
@@ -100,7 +151,7 @@ def _prepared(train: LabeledDataset, q: np.ndarray, spec: MetricSpec):
         )
     return (
         spec.prepare(q.reshape(-1, train.n_parts), "query"),
-        spec.prepare(train.rows, "training"),
+        spec.prepare(train.rows, "training", train.feature_names),
     )
 
 
@@ -111,15 +162,15 @@ def pairwise_distances(
 
     queries is a single composition or a stack of them. Rows are prepared
     once up front, which is equivalent to (and much faster than) preparing
-    them inside every scalar distance call. Query rows are processed in
-    blocks, so no (m, n, D) temporary is built.
+    them inside every scalar distance call. The matrix is filled tile by
+    tile, so no (m, n, D) temporary is built; for queries that are
+    train.rows itself each pair is computed once and mirrored.
     """
-    q = np.asarray(queries, dtype=float)
-    prepared, train_rows = _prepared(train, q, spec)
+    prepared, train_rows = _prepared(train, queries, spec)
     out = np.empty((prepared.shape[0], train_rows.shape[0]))
-    for start, block in _distance_blocks(prepared, train_rows, spec):
-        out[start : start + block.shape[0]] = block
-    return out[0] if q.ndim == 1 else out
+    for r0, c0, d in _tiles(prepared, train_rows, spec):
+        out[r0 : r0 + d.shape[0], c0 : c0 + d.shape[1]] = d
+    return out[0] if np.ndim(queries) == 1 else out
 
 
 def _vote(

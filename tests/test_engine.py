@@ -21,8 +21,8 @@ from simplexknn import (
     sensitivity_specificity,
     stratified_holdout,
 )
+from simplexknn import knn
 from simplexknn.evaluation import _mean_sd
-from simplexknn.knn import _BLOCK_ROWS
 
 N_CLASSES = 3
 
@@ -42,8 +42,15 @@ def lattice_dataset(resolution, interior):
     rows = np.vstack([rows, rows[dup]])
     labels = np.concatenate([labels, (labels[dup] + 1) % N_CLASSES])
     data = LabeledDataset(rows, labels, ("a", "b", "c"), ("c1", "c2", "c3"))
-    assert len(data) > _BLOCK_ROWS  # more than one block of query rows
+    assert len(data) > knn._BLOCK_ROWS  # more than one block of query rows
     return data
+
+
+@pytest.fixture(autouse=True)
+def small_tiles(monkeypatch):
+    """7 x 5 tiles, so the 48- and 60-row datasets here span many of them."""
+    monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(knn, "_TILE_PAIRS", 7 * 5)
 
 
 def reference_vote(dists, neighbours, labels):

@@ -16,9 +16,10 @@ from simplexknn import (
     membership_scores,
     pairwise_distances,
 )
+from simplexknn import knn
 from simplexknn.knn import _nearest, _vote
 
-from conftest import compositional_blobs
+from conftest import compositional_blobs, positive_compositions, sparse_compositions
 from test_engine import lattice_dataset
 
 
@@ -73,6 +74,28 @@ class TestPairwiseDistances:
         with pytest.raises(ZeroInAitchison, match="row"):
             pairwise_distances(sparse_dataset, sparse_dataset.rows,
                                MetricSpec("aitchison"))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [MetricSpec(f, a) for f in ("esov", "tc") for a in (-0.5, 0.0, 0.5, 1.0)]
+        + [MetricSpec(f) for f in ("aitchison", "hellinger", "angular")],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("tiles", [None, (5, 7)], ids=["default", "5x7"])
+    def test_kernels_are_bitwise_symmetric(self, monkeypatch, spec, tiles):
+        # _tiles mirrors d(x_i, x_j) into d(x_j, x_i) for a dataset measured
+        # against itself; that is exact only if every kernel is
+        if tiles is not None:
+            monkeypatch.setattr(knn, "_BLOCK_ROWS", tiles[0])
+            monkeypatch.setattr(knn, "_TILE_PAIRS", tiles[0] * tiles[1])
+        rng = np.random.default_rng(7)
+        make = positive_compositions if spec.needs_positive else sparse_compositions
+        data = LabeledDataset(make(rng, 150, 9), np.arange(150) % 3, ("a", "b", "c"))
+        x = spec.prepare(data.rows)
+        full = spec.kernel(x[:, None], x[None]).view(np.int64)  # one unblocked call
+        assert np.array_equal(full, full.T)
+        tiled = pairwise_distances(data, data.rows, spec)
+        assert np.array_equal(full, tiled.view(np.int64))
 
 
 class TestNeighborConfig:
@@ -172,6 +195,27 @@ class TestClassify:
         with pytest.raises(DimensionMismatch):
             fn(blob_dataset, query, NeighborConfig(1, MetricSpec("esov")))
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda data, config: classify(data, data.rows[0], config),
+            lambda data, config: membership_scores(data, data.rows[0], config),
+            lambda data, config: pairwise_distances(data, data.rows[:3], config.spec),
+            lambda data, config: pairwise_distances(data, data.rows, config.spec),
+        ],
+        ids=["classify", "membership_scores", "dist", "dist-self"],
+    )
+    def test_training_errors_name_the_column(self, blob_dataset, call):
+        rows = np.array(blob_dataset.rows)
+        rows[17] = [0.6, 0.0, 0.25, 0.15]
+        data = LabeledDataset(
+            rows, blob_dataset.labels, blob_dataset.classes, ("Na", "Mg", "Al", "Si")
+        )
+        config = NeighborConfig(1, MetricSpec("aitchison"))
+        msg = "^training row 17, column Mg is zero$"
+        with pytest.raises(ZeroInAitchison, match=msg):
+            call(data, config)
+
 
 @pytest.mark.parametrize(
     "spec",
@@ -180,21 +224,29 @@ class TestClassify:
     ids=repr,
 )
 @pytest.mark.parametrize("exclude_self", [False, True])
-def test_nearest_matches_full_stable_argsort(spec, exclude_self):
-    # lattice points plus a duplicated block: ties everywhere, over several blocks
+def test_nearest_matches_full_stable_argsort(monkeypatch, spec, exclude_self):
+    # lattice points plus a duplicated block: ties everywhere. 7 x 5 tiles on
+    # 60 rows give ragged last tiles, mirrored tiles, a masked diagonal split
+    # over two tiles, kmax wider than a tile and ties across the k-th distance
+    monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(knn, "_TILE_PAIRS", 7 * 5)
     data = lattice_dataset(8, interior=False)
     n = len(data)
-    full = pairwise_distances(data, data.rows, spec)
-    if exclude_self:
-        np.fill_diagonal(full, np.inf)
-    order = np.argsort(full, axis=1, kind="stable")
-    prepared = spec.prepare(data.rows)
-    for kmax in (1, 3, n - 1):
-        indices, dists = _nearest(prepared, prepared, spec, kmax, exclude_self)
-        assert (indices == order[:, :kmax]).all()
-        assert (dists == np.take_along_axis(full, indices, axis=1)).all()
+    train = spec.prepare(data.rows)
+    # train itself, so tiles are mirrored, and equal values in another
+    # array, so every pair is measured; LOOCV only ever passes train
+    for q in [train] if exclude_self else [train, train[::-3].copy()]:
+        full = spec.kernel(q[:, None], train[None])  # one unblocked kernel call
+        if exclude_self:
+            np.fill_diagonal(full, np.inf)
+        order = np.argsort(full, axis=1, kind="stable")
+        for kmax in (1, 3, 9, n - 1):
+            indices, dists = _nearest(q, train, spec, kmax, exclude_self)
+            assert np.array_equal(indices, order[:, :kmax])
+            expected = np.take_along_axis(full, order[:, :kmax], axis=1)
+            assert np.array_equal(dists.view(np.int64), expected.view(np.int64))
     with pytest.raises(InsufficientTraining):
-        _nearest(prepared, prepared, spec, n + 1 - exclude_self, exclude_self)
+        _nearest(train, train, spec, n + 1 - exclude_self, exclude_self)
 
 
 class TestMembershipScores:
