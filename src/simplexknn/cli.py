@@ -18,17 +18,15 @@ any output can be regenerated bit-identically.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .dataset import DEFAULT_DROP_COLUMNS, LabeledDataset, _read_csv
+from .dataset import DEFAULT_DROP_COLUMNS, LabeledDataset, _read_csv, _write_table
 from .errors import SimplexKnnError
 from .evaluation import auc, grid_search, loocv_scores, roc_curve
 from .knn import NeighborConfig, pairwise_distances
@@ -112,27 +110,21 @@ def _envelope(command: str, config: dict) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    with Path(path).open("w") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_report(args, report: dict, body, header: list[str], columns) -> None:
+    """Write report | body() as JSON, or a CSV plus report as sidecar.
 
-
-def _write_report(args, report: dict, body, header: list[str], rows) -> None:
-    """Write report | body() as JSON, or header and rows as CSV plus report as sidecar.
-
-    body is called, or the rows iterator consumed, only for its own format.
+    The CSV is header and the rows of columns (see dataset._write_table).
+    body is called only for JSON.
     """
     if args.format == "json":
         _write_json(args.output, report | body())
     else:
-        _write_csv(args.output, header, rows)
+        _write_table(args.output, header, columns)
         _write_json(f"{args.output}.meta.json", report)
 
 
@@ -154,7 +146,7 @@ def _cmd_dist(args) -> int:
         _envelope("dist", config),
         lambda: {"matrix": matrix.tolist()},
         ["row"] + [f"r{j}" for j in range(len(data))],
-        ([i] + [repr(v) for v in row.tolist()] for i, row in enumerate(matrix)),
+        [[str(i) for i in range(len(data))], matrix],
     )
     return 0
 
@@ -164,11 +156,9 @@ def _cmd_transform(args) -> int:
     transformed = power_transform(data.rows, args.alpha)
     ternary = data.n_parts == 3
     config = dict(meta, alpha=args.alpha, format=args.format)
+    labels = np.asarray(data.classes, dtype=object)[data.labels]
     # plot coordinates for 3 parts, none otherwise
-    coords = ternary_embed(transformed).tolist() if ternary else [[]] * len(data)
-    table = zip(
-        transformed.tolist(), [data.classes[lab] for lab in data.labels], coords
-    )
+    coords = ternary_embed(transformed) if ternary else np.empty((len(data), 0))
     header = list(data.feature_names) + [args.label_column]
     header += ["x", "y"] if ternary else []
     _write_report(
@@ -176,18 +166,17 @@ def _cmd_transform(args) -> int:
         _envelope("transform", config),
         lambda: {"rows": [
             {"parts": parts, "label": label, **dict(zip(("x", "y"), xy))}
-            for parts, label, xy in table
+            for parts, label, xy in zip(
+                transformed.tolist(), labels.tolist(), coords.tolist()
+            )
         ]},
         header,
-        (
-            [repr(v) for v in parts] + [label] + [repr(v) for v in xy]
-            for parts, label, xy in table
-        ),
+        [transformed, labels] + ([coords] if ternary else []),
     )
     return 0
 
 
-def _grid_cells_csv(result) -> tuple[list[str], Iterator[list[str]]]:
+def _grid_cells_csv(result) -> tuple[list[str], list[list[str]]]:
     header = ["alpha", "k", "mean_accuracy", "sd_accuracy"]
     for cls in result.classes:
         header += [
@@ -208,7 +197,8 @@ def _grid_cells_csv(result) -> tuple[list[str], Iterator[list[str]]]:
         out.append(cell.error or "")
         return out
 
-    return header, map(row, result.cells)
+    # one text column per field: None and the absent error are empty fields
+    return header, list(zip(*map(row, result.cells)))
 
 
 def _cmd_tune(args) -> int:
@@ -263,13 +253,10 @@ def _cmd_roc(args) -> int:
     for c, cls in enumerate(data.classes):
         curve = roc_curve(scores, data.labels, c, k=args.k)
         name = f"roc_{c:02d}_{_slug(cls)}.csv"
-        _write_csv(
+        _write_table(
             out_dir / name,
             ["threshold", "fpr", "tpr"],
-            [
-                [repr(t), repr(f), repr(p)]
-                for t, f, p in zip(curve.thresholds, curve.fpr, curve.tpr)
-            ],
+            [np.column_stack([curve.thresholds, curve.fpr, curve.tpr])],
         )
         aucs[cls] = auc(curve)
         files[cls] = name
@@ -301,14 +288,14 @@ def _cmd_loci(args) -> int:
     header = ["c1", "c2", "c3", "x", "y", "value"]
     points = np.column_stack(
         [field.parts, ternary_embed(field.parts), field.values]
-    ).tolist()
+    )
     report["n_points"] = len(points)
     _write_report(
         args,
         report,
-        lambda: {"points": [dict(zip(header, row)) for row in points]},
+        lambda: {"points": [dict(zip(header, row)) for row in points.tolist()]},
         header,
-        ([repr(v) for v in row] for row in points),
+        [points],
     )
     return 0
 

@@ -1,15 +1,26 @@
-"""Labeled compositional datasets and CSV ingestion.
+"""Labeled compositional datasets and CSV input and output.
 
 CSV files need a header row; every non-label column must be numeric and
 non-negative. Rows whose parts already sum to 1 (within 1e-9) are kept
 bit-for-bit; anything else (percentages, raw amounts) is closed to unit sum
-on ingestion.
+on ingestion. Input is parsed a block of _READ_ROWS rows at a time, so no
+Python object per row outlives its block.
+
+Output format, for write_csv and every CSV the command line writes: floats
+are Python repr (the shortest text that reads back to the same bits), rows
+end in \\r\\n, and text is quoted only when it holds a comma, a double quote
+or a line break, as csv's default dialect does; an empty field is written
+as nothing. Input and output files are UTF-8 whatever the locale. Rows are
+formatted a block of at most _BLOCK_FIELDS fields at a time, and each
+distinct float of a block is formatted once.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +32,12 @@ __all__ = ["LabeledDataset", "ingest_csv", "write_csv", "DEFAULT_DROP_COLUMNS"]
 
 # the refractive-index column of the UCI glass file is not a chemical part
 DEFAULT_DROP_COLUMNS = ("RI",)
+
+# rows parsed into one float array before the next block is read
+_READ_ROWS = 4096
+# fields formatted and written at once, whatever the row width (like
+# knn._TILE_PAIRS): a dist matrix of n columns holds one block of strings
+_BLOCK_FIELDS = 16 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,6 +53,9 @@ class LabeledDataset:
     labels: np.ndarray
     classes: tuple[str, ...]
     feature_names: tuple[str, ...] | None = field(default=None)
+    # the rows as each MetricSpec prepares them, filled by knn; rows are
+    # read-only, so an entry never goes stale
+    _prepared_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)
@@ -116,7 +136,7 @@ def _read_csv(
 ) -> tuple[LabeledDataset, list[str]]:
     """ingest_csv plus the drop columns that were present in the header."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -141,34 +161,41 @@ def _read_csv(
         label_pos = header.index(label_column)
         feature_pos = [header.index(c) for c in feature_names]
 
-        parts: list[list[float]] = []
-        raw_labels: list[str] = []
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise IngestionError(
-                    f"{path}: line {line_no}: expected {len(header)} fields, "
-                    f"got {len(record)}"
-                )
-            label = record[label_pos].strip()
-            if not label:
-                raise IngestionError(f"{path}: line {line_no}: empty label")
-            row = []
-            for col, pos in zip(feature_names, feature_pos):
-                token = record[pos].strip()
-                try:
-                    row.append(float(token))
-                except ValueError:
+        catalog: dict[str, int] = {}  # label -> class id, in first-appearance order
+        row_blocks, label_blocks = [], []
+        records = enumerate(reader, start=2)
+        while True:
+            values: list[float] = []  # this block's parts, row after row
+            ids: list[int] = []
+            for line_no, record in islice(records, _READ_ROWS):
+                if len(record) != len(header):
                     raise IngestionError(
-                        f"{path}: line {line_no}, column {col!r}: "
-                        f"not numeric: {token!r}"
-                    ) from None
-            parts.append(row)
-            raw_labels.append(label)
+                        f"{path}: line {line_no}: expected {len(header)} fields, "
+                        f"got {len(record)}"
+                    )
+                label = record[label_pos].strip()
+                if not label:
+                    raise IngestionError(f"{path}: line {line_no}: empty label")
+                for col, pos in zip(feature_names, feature_pos):
+                    token = record[pos].strip()
+                    try:
+                        values.append(float(token))
+                    except ValueError:
+                        raise IngestionError(
+                            f"{path}: line {line_no}, column {col!r}: "
+                            f"not numeric: {token!r}"
+                        ) from None
+                ids.append(catalog.setdefault(label, len(catalog)))
+            if not ids:
+                break
+            row_blocks.append(np.asarray(values, dtype=float))
+            label_blocks.append(np.asarray(ids, dtype=np.intp))
 
-    if not parts:
+    if not row_blocks:
         raise IngestionError(f"{path}: no data rows")
 
-    matrix = np.asarray(parts, dtype=float)
+    matrix = np.concatenate(row_blocks).reshape(-1, len(feature_names))
+    del row_blocks  # not held while the matrix is checked and closed
     fault = _domain_fault(matrix)
     if fault is not None:
         _, row, col, reason = fault
@@ -178,15 +205,7 @@ def _read_csv(
         raise IngestionError(f"{path}: {where} {reason}")
     matrix = _as_composition(matrix)
 
-    catalog: list[str] = []
-    index = {}
-    labels = np.empty(len(raw_labels), dtype=np.intp)
-    for i, lab in enumerate(raw_labels):
-        if lab not in index:
-            index[lab] = len(catalog)
-            catalog.append(lab)
-        labels[i] = index[lab]
-
+    labels = np.concatenate(label_blocks)
     data = LabeledDataset(matrix, labels, tuple(catalog), tuple(feature_names))
     return data, dropped
 
@@ -196,9 +215,66 @@ def write_csv(data: LabeledDataset, path, label_column: str = "class") -> None:
     names = data.feature_names or tuple(
         f"part{i + 1}" for i in range(data.n_parts)
     )
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [label_column])
-        for row, lab in zip(data.rows, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [data.classes[lab]])
+    labels = np.asarray(data.classes, dtype=object)[data.labels]
+    _write_table(path, [*names, label_column], [data.rows, labels])
+
+
+def _float_fields(block: np.ndarray) -> np.ndarray:
+    """repr of every value of a float block, as an object array of its shape.
+
+    repr runs once per distinct bit pattern: keying on the bits keeps -0.0
+    apart from 0.0.
+    """
+    bits = np.array(block, dtype=float).reshape(-1).view(np.int64)  # a copy
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return text[inverse].reshape(block.shape)
+
+
+def _quoted(texts) -> dict[str, str]:
+    """Each distinct str of texts -> the field csv.writer writes for it in a row."""
+    out = {}
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    for text in dict.fromkeys(texts):
+        if not text:
+            # csv.writer writes a lone empty field as "", but an empty field
+            # of a longer row as nothing
+            out[text] = text
+            continue
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((text,))
+        out[text] = buf.getvalue()[:-2]  # less the \r\n
+    return out
+
+
+def _write_table(path, header: list[str], columns: list) -> None:
+    """Write a header and rows to path in the module's CSV output format.
+
+    columns give each row's fields, left to right: a float array of shape
+    (n,) or (n, w) gives one or w float fields, any other sequence of n str
+    one text field. Rows are formatted and written a block of at most
+    _BLOCK_FIELDS fields at a time.
+    """
+    floats = [isinstance(c, np.ndarray) and c.dtype == float for c in columns]
+    widths = [
+        c.shape[1] if f and c.ndim == 2 else 1 for c, f in zip(columns, floats)
+    ]
+    quoted = [None if f else _quoted(c) for c, f in zip(columns, floats)]
+    n = len(columns[0])
+    step = max(1, _BLOCK_FIELDS // sum(widths))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for r0 in range(0, n, step):
+            r1 = min(r0 + step, n)
+            table = np.empty((r1 - r0, sum(widths)), dtype=object)
+            j = 0
+            for column, width, texts in zip(columns, widths, quoted):
+                block = column[r0:r1]
+                if texts is None:
+                    table[:, j : j + width] = _float_fields(block).reshape(-1, width)
+                else:
+                    table[:, j] = [texts[t] for t in block]
+                j += width
+            fh.write("".join([",".join(row) + "\r\n" for row in table.tolist()]))

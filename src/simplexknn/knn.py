@@ -133,14 +133,24 @@ def _nearest(
     return best.imag.astype(np.intp), best.real.copy()
 
 
+def _training_rows(train: LabeledDataset, spec: MetricSpec) -> np.ndarray:
+    """train.rows prepared by spec, once per (dataset, spec): kept on the dataset."""
+    rows = train._prepared_rows.get(spec)
+    if rows is None:
+        rows = spec.prepare(train.rows, "training", train.feature_names)
+        rows.setflags(write=False)
+        train._prepared_rows[spec] = rows
+    return rows
+
+
 def _prepared(train: LabeledDataset, queries, spec: MetricSpec):
     """(query rows, training rows) prepared by spec; queries is one row or a stack.
 
-    queries that are train.rows itself are prepared once and returned as
-    both, so _tiles computes each pair once.
+    queries that are train.rows itself are returned as both, so _tiles
+    computes each pair once.
     """
     if queries is train.rows:
-        rows = spec.prepare(train.rows, "training", train.feature_names)
+        rows = _training_rows(train, spec)
         return rows, rows
     q = np.asarray(queries, dtype=float)
     if q.ndim not in (1, 2):
@@ -151,7 +161,7 @@ def _prepared(train: LabeledDataset, queries, spec: MetricSpec):
         )
     return (
         spec.prepare(q.reshape(-1, train.n_parts), "query"),
-        spec.prepare(train.rows, "training", train.feature_names),
+        _training_rows(train, spec),
     )
 
 

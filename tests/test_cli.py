@@ -1,10 +1,28 @@
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simplexknn import MetricSpec, __version__, ingest_csv, pairwise_distances
+import simplexknn
+from simplexknn import (
+    LabeledDataset,
+    MetricSpec,
+    __version__,
+    dataset,
+    distance_field,
+    grid_search,
+    ingest_csv,
+    pairwise_distances,
+    power_transform,
+    ternary_embed,
+    write_csv,
+)
 from simplexknn.cli import main, parse_grid
 
 from conftest import compositional_blobs
@@ -367,3 +385,161 @@ class TestReportFormats:
         with as_csv.open(newline="") as fh:
             header, *rows = csv.reader(fh)
         assert values == from_csv(header, rows)
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The CSV bytes of csv.writer's default dialect: the writer's oracle."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _repr_row(values):
+    return [repr(v) for v in values]
+
+
+ODD_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324,
+              1e16, 1e-5, 0.1 + 0.2]
+ODD_LABELS = ["a,b", 'say "hi"', "two\nlines", " lead", "argile-limoneuseé"]
+
+
+class TestCsvWriter:
+    """The block writer writes the bytes of csv.writer with repr'd floats."""
+
+    @pytest.fixture(params=[None, 1, 7, 64], ids=lambda b: f"block-{b}")
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(dataset, "_BLOCK_FIELDS", request.param)
+
+    def test_odd_values_and_labels(self, block, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 40
+        values = rng.choice(ODD_FLOATS, size=(n, 3))
+        values[::5, 1] = np.copysign(0.0, -1.0)
+        labels = [ODD_LABELS[i % len(ODD_LABELS)] for i in range(n)]
+        texts = ["" if i % 3 else "err, with comma" for i in range(n)]
+        header = ["p1", "p,2", "p3", "label", "value", "error"]
+        out = tmp_path / "t.csv"
+        dataset._write_table(out, header, [values, labels, values[:, 0], texts])
+        expected = [
+            _repr_row(v.tolist()) + [lab, repr(float(v[0])), t]
+            for v, lab, t in zip(values, labels, texts)
+        ]
+        assert out.read_bytes() == _reference_csv(header, expected)
+
+    def test_write_csv(self, block, tmp_path):
+        rows = np.array([ODD_FLOATS[i : i + 3] for i in range(len(ODD_FLOATS) - 2)])
+        labels = np.arange(len(rows)) % len(ODD_LABELS)
+        data = LabeledDataset(rows, labels, ODD_LABELS, ("x", "y", "z"))
+        out = tmp_path / "d.csv"
+        write_csv(data, out, label_column="kind")
+        expected = [_repr_row(r.tolist()) + [ODD_LABELS[c]] for r, c in zip(rows, labels)]
+        assert out.read_bytes() == _reference_csv(["x", "y", "z", "kind"], expected)
+
+    @pytest.mark.parametrize("n_parts", [3, 4])
+    def test_transform(self, block, tmp_path, n_parts):
+        rng = np.random.default_rng(n_parts)
+        rows = rng.dirichlet(np.ones(n_parts), size=30)
+        rows[0, :3] = [5e-324, 1e16, 1e-5]
+        rows[1, :3] = [0.1, 0.2, 0.0]
+        names = [f"c{i}" for i in range(n_parts)]
+        labels = [ODD_LABELS[i % len(ODD_LABELS)].strip() for i in range(30)]
+        src = tmp_path / "in.csv"
+        src.write_bytes(_reference_csv(names + ["kind"], [
+            _repr_row(r.tolist()) + [lab] for r, lab in zip(rows, labels)
+        ]))
+        out = tmp_path / "tr.csv"
+        rc = main(["transform", "--input", str(src), "--label-column", "kind",
+                   "--alpha", "0.5", "--output", str(out)])
+        assert rc == 0
+        data = ingest_csv(src, "kind")
+        parts = power_transform(data.rows, 0.5)
+        header = names + ["kind"] + (["x", "y"] if n_parts == 3 else [])
+        expected = [
+            _repr_row(p) + [data.classes[c]]
+            + (_repr_row(ternary_embed(np.array(p)).tolist()) if n_parts == 3 else [])
+            for p, c in zip(parts.tolist(), data.labels)
+        ]
+        assert out.read_bytes() == _reference_csv(header, expected)
+
+    def test_dist(self, block, data_csv, tmp_path):
+        out = tmp_path / "dist.csv"
+        rc = main(["dist", "--input", str(data_csv), "--label-column", "kind",
+                   "--family", "esov", "--alpha", "0.5", "--output", str(out)])
+        assert rc == 0
+        data = ingest_csv(data_csv, "kind")
+        matrix = pairwise_distances(data, data.rows, MetricSpec("esov", 0.5))
+        header = ["row"] + [f"r{j}" for j in range(len(data))]
+        expected = [[i] + _repr_row(row.tolist()) for i, row in enumerate(matrix)]
+        assert out.read_bytes() == _reference_csv(header, expected)
+
+    def test_tune_with_error_cells(self, block, tmp_path):
+        src = tmp_path / "zeros.csv"
+        src.write_text("a,b,c,kind\n0.5,0.5,0,x\n0.2,0.3,0.5,y\n0.4,0.1,0.5,x\n"
+                       "0.3,0.3,0.4,y\n0.6,0.2,0.2,x\n0.1,0.6,0.3,y\n")
+        out = tmp_path / "grid.csv"
+        argv = ["--alphas=-1,0.5", "--k", "1,2", "--B", "4", "--test-n", "2",
+                "--seed", "9"]
+        rc = main(["tune", "--input", str(src), "--label-column", "kind",
+                   "--family", "esov", *argv, "--format", "csv", "--output", str(out)])
+        assert rc == 0
+        result = grid_search(ingest_csv(src, "kind"), [-1.0, 0.5], [1, 2], "esov",
+                             B=4, test_total=2, seed=9)
+        assert any("," in (c.error or "") for c in result.cells)
+
+        def fmt(v):
+            return "" if v is None else repr(v) if isinstance(v, float) else str(v)
+
+        header = ["alpha", "k", "mean_accuracy", "sd_accuracy"]
+        for cls in result.classes:
+            header += [f"{s}_{cls}" for s in ("sensitivity_mean", "sensitivity_sd",
+                                              "specificity_mean", "specificity_sd")]
+        header.append("error")
+        expected = []
+        for cell in result.cells:
+            row = [fmt(cell.alpha), fmt(cell.k), fmt(cell.mean_accuracy),
+                   fmt(cell.sd_accuracy)]
+            for c in range(len(result.classes)):
+                for stats in (cell.sensitivity_mean, cell.sensitivity_sd,
+                              cell.specificity_mean, cell.specificity_sd):
+                    row.append(fmt(stats[c]) if stats is not None else "")
+            expected.append(row + [cell.error or ""])
+        assert out.read_bytes() == _reference_csv(header, expected)
+
+    def test_loci_asymmetric_reference(self, block, tmp_path):
+        out = tmp_path / "field.csv"
+        rc = main(["loci", "--family", "tc", "--alpha=-0.5", "--n", "9",
+                   "--reference=0.1,0.3,0.6", "--output", str(out)])
+        assert rc == 0
+        field = distance_field(MetricSpec("tc", -0.5), [0.1, 0.3, 0.6], 9)
+        points = np.column_stack([field.parts, ternary_embed(field.parts), field.values])
+        expected = [_repr_row(row) for row in points.tolist()]
+        assert out.read_bytes() == _reference_csv(
+            ["c1", "c2", "c3", "x", "y", "value"], expected
+        )
+
+
+def test_utf8_files_whatever_the_locale(tmp_path):
+    """Input and output are UTF-8 even where the locale's encoding is ASCII."""
+    label = "argile-limoneuseé"
+    src = tmp_path / "soil.csv"
+    src.write_bytes(f"a,b,c,kind\n0.2,0.3,0.5,{label}\n0.5,0.25,0.25,x\n".encode())
+    out = tmp_path / "tr.csv"
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(simplexknn.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "simplexknn.cli", "transform", "--input", str(src),
+         "--label-column", "kind", "--alpha", "1", "--output", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [[0.2, 0.3, 0.5], [0.5, 0.25, 0.25]]  # on the simplex: kept as read
+    expected = [
+        _repr_row(r) + [lab] + _repr_row(ternary_embed(np.array(r)).tolist())
+        for r, lab in zip(rows, [label, "x"])
+    ]
+    assert out.read_bytes() == _reference_csv(["a", "b", "c", "kind", "x", "y"], expected)
+    meta = json.loads((tmp_path / "tr.csv.meta.json").read_text(encoding="utf-8"))
+    assert meta["config"]["classes"] == [label, "x"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplexknn import IngestionError, LabeledDataset, ingest_csv, write_csv
+from simplexknn import IngestionError, LabeledDataset, dataset, ingest_csv, write_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -81,6 +81,52 @@ class TestIngest:
         text = "a,b,c,Type\n0.5,0.5,0.0,x\n0,0.4,0.6,y\n"
         data = ingest_csv(write(tmp_path, text), "Type")
         assert (data.rows == 0).sum() == 2
+
+
+class TestBlockedIngest:
+    """Parsing in blocks of _READ_ROWS rows changes no value and no message."""
+
+    # 8 data rows on lines 2-9: with 3-row blocks, lines 4 | 5 and 7 | 8
+    # straddle block boundaries, and class c first appears in the third block
+    ROWS = ["0.5,0.25,0.25,a", "70,20,10,b", " 1e-5 ,1e16,1,a", "0,0.5,0.5,b",
+            "5e-324,0.5,0.5,a", "0.1,0.2,0.7,b", "1,2,3,c", "0.3,0.3,0.4,a"]
+
+    def ingest_both(self, monkeypatch, tmp_path, rows):
+        path = write(tmp_path, "a,b,c,Type\n" + "\n".join(rows) + "\n")
+        results = []
+        for block in (dataset._READ_ROWS, 3):
+            monkeypatch.setattr(dataset, "_READ_ROWS", block)
+            try:
+                results.append(ingest_csv(path, "Type"))
+            except IngestionError as exc:
+                results.append(str(exc))
+        return results
+
+    def test_same_dataset_bit_for_bit(self, monkeypatch, tmp_path):
+        whole, blocked = self.ingest_both(monkeypatch, tmp_path, self.ROWS)
+        assert whole.equals(blocked)
+        assert blocked.classes == ("a", "b", "c")
+        np.testing.assert_array_equal(blocked.labels, [0, 1, 0, 1, 0, 1, 2, 0])
+        assert np.array_equal(whole.rows.view(np.int64), blocked.rows.view(np.int64))
+        assert blocked.rows[4, 0] == 5e-324
+
+    @pytest.mark.parametrize("line", [4, 5, 7, 8])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("0.5,oops,0.5,a", "line {}, column 'b': not numeric: 'oops'"),
+         ("0.5,0.5,a", "line {}: expected 4 fields, got 3"),
+         ("0.5,0.25,0.25, ", "line {}: empty label"),
+         ("0.5,-0.25,0.25,a", "line {}, column 'b' contains negative parts"),
+         ("0,0,0,a", "line {} is degenerate, all parts are zero")],
+    )
+    def test_same_error_either_side_of_a_boundary(
+        self, monkeypatch, tmp_path, line, bad, message
+    ):
+        rows = list(self.ROWS)
+        rows[line - 2] = bad
+        whole, blocked = self.ingest_both(monkeypatch, tmp_path, rows)
+        assert whole == blocked
+        assert blocked.endswith(": " + message.format(line))
 
 
 class TestRoundTrip:

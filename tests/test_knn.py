@@ -16,7 +16,7 @@ from simplexknn import (
     membership_scores,
     pairwise_distances,
 )
-from simplexknn import knn
+from simplexknn import knn, simplex
 from simplexknn.knn import _nearest, _vote
 
 from conftest import compositional_blobs, positive_compositions, sparse_compositions
@@ -215,6 +215,32 @@ class TestClassify:
         msg = "^training row 17, column Mg is zero$"
         with pytest.raises(ZeroInAitchison, match=msg):
             call(data, config)
+
+    def test_training_rows_are_prepared_once(self, monkeypatch, blob_dataset):
+        calls = []
+
+        def counting(rows):
+            calls.append(rows.shape)
+            return real(rows)
+
+        n, d = blob_dataset.rows.shape
+        spec = MetricSpec("esov", 0.5)
+        query = [0.1, 0.2, 0.3, 0.4]
+        expected = [brute_force_classify(blob_dataset, query, k, spec) for k in (3, 5)]
+        real = simplex._domain_fault
+        monkeypatch.setattr(simplex, "_domain_fault", counting)
+        # the same spec again, in an equal object, and with another k
+        got = [
+            classify(blob_dataset, query, NeighborConfig(3, spec)),
+            classify(blob_dataset, query, NeighborConfig(5, MetricSpec("esov", 0.5))),
+        ]
+        membership_scores(blob_dataset, query, NeighborConfig(5, spec))
+        assert got == expected
+        # queries are still checked on every call
+        assert calls == [(1, d), (n, d), (1, d), (1, d)]
+        calls.clear()
+        classify(blob_dataset, query, NeighborConfig(3, MetricSpec("tc")))
+        assert calls == [(1, d), (n, d)]
 
 
 @pytest.mark.parametrize(
