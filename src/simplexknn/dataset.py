@@ -36,7 +36,7 @@ DEFAULT_DROP_COLUMNS = ("RI",)
 # rows parsed into one float array before the next block is read
 _READ_ROWS = 4096
 # fields formatted and written at once, whatever the row width (like
-# knn._TILE_PAIRS): a dist matrix of n columns holds one block of strings
+# knn._TILE_FLOATS): a dist matrix of n columns holds one block of strings
 _BLOCK_FIELDS = 16 * 1024
 
 
@@ -163,11 +163,17 @@ def _read_csv(
 
         catalog: dict[str, int] = {}  # label -> class id, in first-appearance order
         row_blocks, label_blocks = [], []
-        records = enumerate(reader, start=2)
+        # errors name a record by the physical line it starts on; a quoted
+        # field can span lines, so keep (row, first line) of each row that
+        # follows a record spanning lines, and of row 0
+        starts = [(0, reader.line_num + 1)]
+        end = reader.line_num  # the last line read
+        n_rows = 0
         while True:
             values: list[float] = []  # this block's parts, row after row
             ids: list[int] = []
-            for line_no, record in islice(records, _READ_ROWS):
+            for record in islice(reader, _READ_ROWS):
+                line_no, end = end + 1, reader.line_num
                 if len(record) != len(header):
                     raise IngestionError(
                         f"{path}: line {line_no}: expected {len(header)} fields, "
@@ -186,8 +192,11 @@ def _read_csv(
                             f"not numeric: {token!r}"
                         ) from None
                 ids.append(catalog.setdefault(label, len(catalog)))
+                if end != line_no:
+                    starts.append((n_rows + len(ids), end + 1))
             if not ids:
                 break
+            n_rows += len(ids)
             row_blocks.append(np.asarray(values, dtype=float))
             label_blocks.append(np.asarray(ids, dtype=np.intp))
 
@@ -199,7 +208,8 @@ def _read_csv(
     fault = _domain_fault(matrix)
     if fault is not None:
         _, row, col, reason = fault
-        where = f"line {row + 2}"
+        first_row, line = max(start for start in starts if start[0] <= row)
+        where = f"line {line + row - first_row}"
         if col is not None:
             where += f", column {feature_names[col]!r}"
         raise IngestionError(f"{path}: {where} {reason}")

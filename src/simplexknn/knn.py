@@ -12,14 +12,17 @@ reproducible across runs, platforms and thread schedules:
     (neighbours labeled c) / k, so scores sum to 1 and their argmax under the
     same tie rules reproduces classify().
 
-Distances are computed in tiles of at most _BLOCK_ROWS query rows and
-_TILE_PAIRS pairs. A dataset measured against itself (LOOCV, tune, the dist
-command) computes only the tiles from each diagonal block rightwards and
-mirrors them, since every kernel is bitwise symmetric, so each distance is
-computed once. Each row keeps a running set of its k best (distance, row
-index) keys, updated from every tile by one argpartition, and sorts it once
-at the end; no row is ever fully sorted, and memory is O(n * k) plus one
-tile, independent of n.
+Distances are computed in tiles of at most _BLOCK_ROWS query rows, sized
+by a float budget: rows * columns * parts <= _TILE_FLOATS, so every kernel
+temporary (one float per part of each pair) stays under 128 KiB. The rows
+go to the kernels parts-first, the query block as (D, rows, 1) against
+(D, 1, columns), so each elementwise pass runs along the columns. A dataset
+measured against itself (LOOCV, tune, the dist command) computes only the
+tiles from each diagonal block rightwards and mirrors them, since every
+kernel is bitwise symmetric, so each distance is computed once. Each row
+keeps a running set of its k best (distance, row index) keys, updated from
+every tile by one argpartition, and sorts it once at the end; no row is
+ever fully sorted, and memory is O(n * k) plus one tile, independent of n.
 """
 
 from __future__ import annotations
@@ -57,21 +60,25 @@ class NeighborConfig:
         object.__setattr__(self, "k", int(self.k))
 
 
-# One kernel call measures a tile of at most _BLOCK_ROWS query rows and
-# _TILE_PAIRS pairs: 64 x 64 for LOOCV and tune, one row by 4,096 columns
-# for classify. Its broadcast temporary is at most (_TILE_PAIRS, D), so
-# memory per call is fixed, whatever the number of rows.
+# One kernel call measures a tile of at most _BLOCK_ROWS query rows, with at
+# most _TILE_FLOATS floats in each (D, rows, columns) kernel temporary: 64 x
+# 30 for LOOCV and tune on 8 parts, one row by 1,920 columns for classify.
+# 120 KiB keeps each temporary below glibc's 128 KiB mmap threshold; at 256
+# KiB every tile's temporaries were mapped, or trimmed off the heap, and
+# faulted in afresh. Memory per call is fixed, whatever the number of rows.
 _BLOCK_ROWS = 64
-_TILE_PAIRS = 64 * 64
+_TILE_FLOATS = 15 * 1024
 
 
 def _tiles(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
     """Yield (r0, c0, d) with d[i, j] = distance(queries[r0 + i], train[c0 + j]).
 
-    Both arguments are already prepared by spec.prepare. The items cover
-    the (m, n) matrix exactly once. When queries is train, each pair is
-    computed once: row block [r0, r1) is measured against the columns from
-    r0 on, and the part of each such tile past r1 is yielded again,
+    Both arguments are already prepared by spec.prepare. Each is copied
+    parts-first once, unless its transpose is already contiguous, and every
+    kernel call gets a (D, rows, 1) block against (D, 1, columns). The items
+    cover the (m, n) matrix exactly once. When queries is train, each pair
+    is computed once: row block [r0, r1) is measured against the columns
+    from r0 on, and the part of each such tile past r1 is yielded again,
     transposed, for the rows it covers. All kernels are bitwise symmetric,
     so the mirror equals measuring those rows; the diagonal blocks are
     computed in full (angular has d(x, x) > 0). Each entry is computed
@@ -79,12 +86,16 @@ def _tiles(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
     """
     kernel = spec.kernel
     same = queries is train
-    for r0 in range(0, queries.shape[0], _BLOCK_ROWS):
-        block = queries[r0 : r0 + _BLOCK_ROWS, None, :]
-        r1 = r0 + block.shape[0]
-        width = _TILE_PAIRS // block.shape[0]
-        for c0 in range(r0 if same else 0, train.shape[0], width):
-            tile = kernel(block, train[None, c0 : c0 + width, :])
+    q = np.ascontiguousarray(queries.T)
+    t = q if same else np.ascontiguousarray(train.T)
+    parts = q.shape[0]
+    height = max(1, min(_BLOCK_ROWS, _TILE_FLOATS // parts))
+    for r0 in range(0, q.shape[1], height):
+        block = q[:, r0 : r0 + height, None]
+        r1 = r0 + block.shape[1]
+        width = max(1, _TILE_FLOATS // (parts * block.shape[1]))
+        for c0 in range(r0 if same else 0, t.shape[1], width):
+            tile = kernel(block, t[:, None, c0 : c0 + width])
             yield r0, c0, tile
             if same and c0 + tile.shape[1] > r1:
                 skip = max(r1 - c0, 0)
@@ -134,10 +145,15 @@ def _nearest(
 
 
 def _training_rows(train: LabeledDataset, spec: MetricSpec) -> np.ndarray:
-    """train.rows prepared by spec, once per (dataset, spec): kept on the dataset."""
+    """train.rows prepared by spec, once per (dataset, spec): kept on the dataset.
+
+    The rows are stored parts-first, as _tiles reads them, and returned as
+    the transposed (n, D) view.
+    """
     rows = train._prepared_rows.get(spec)
     if rows is None:
-        rows = spec.prepare(train.rows, "training", train.feature_names)
+        prepared = spec.prepare(train.rows, "training", train.feature_names)
+        rows = np.ascontiguousarray(prepared.T).T
         rows.setflags(write=False)
         train._prepared_rows[spec] = rows
     return rows

@@ -97,5 +97,7 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
         spec=spec,
         reference=(float(ref[0]), float(ref[1]), float(ref[2])),
         parts=parts,
-        values=spec.kernel(spec.prepare(parts), prepared_ref),
+        values=spec.kernel(
+            np.ascontiguousarray(spec.prepare(parts).T), prepared_ref.T
+        ),
     )

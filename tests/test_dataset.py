@@ -128,6 +128,29 @@ class TestBlockedIngest:
         assert whole == blocked
         assert blocked.endswith(": " + message.format(line))
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a label spanning lines 2-3, then a bad value on line 4
+            (['0.5,0.25,0.25,"two\nlines"', "0.5,oops,0.5,a"],
+             "line 4, column 'b': not numeric: 'oops'"),
+            # rows spanning lines 2-3 and 5-7, the faulty row on line 8
+            (['0.5,0.25,0.25,"two\nlines"', "70,20,10,b",
+              '1,2,3,"three\nline\nlabel"', "0.5,-0.25,0.25,a"],
+             "line 8, column 'b' contains negative parts"),
+            (['0.5,0.25,0.25,"two\nlines"', "70,20,10,b",
+              '1,2,3,"three\nline\nlabel"', "0,0,0,a"],
+             "line 8 is degenerate, all parts are zero"),
+            (['0.5,0.25,0.25,"two\nlines"', "70,20,10,b",
+              '1,2,3,"three\nline\nlabel"', "0.5,0.5,a"],
+             "line 8: expected 4 fields, got 3"),
+        ],
+    )
+    def test_errors_name_the_physical_line(self, monkeypatch, tmp_path, rows, message):
+        whole, blocked = self.ingest_both(monkeypatch, tmp_path, rows)
+        assert whole == blocked
+        assert blocked.endswith(": " + message)
+
 
 class TestRoundTrip:
     def test_write_then_ingest_is_identical(self, tmp_path, blob_dataset):

@@ -48,9 +48,9 @@ def lattice_dataset(resolution, interior):
 
 @pytest.fixture(autouse=True)
 def small_tiles(monkeypatch):
-    """7 x 5 tiles, so the 48- and 60-row datasets here span many of them."""
+    """7 x 5 tiles of 3-part rows, so the 48- and 60-row datasets here span many."""
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
-    monkeypatch.setattr(knn, "_TILE_PAIRS", 7 * 5)
+    monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 5 * 3)
 
 
 def reference_vote(dists, neighbours, labels):

@@ -19,6 +19,7 @@ from simplexknn import (
 from simplexknn import knn, simplex
 from simplexknn.knn import _nearest, _vote
 
+import parts_last
 from conftest import compositional_blobs, positive_compositions, sparse_compositions
 from test_engine import lattice_dataset
 
@@ -87,12 +88,12 @@ class TestPairwiseDistances:
         # against itself; that is exact only if every kernel is
         if tiles is not None:
             monkeypatch.setattr(knn, "_BLOCK_ROWS", tiles[0])
-            monkeypatch.setattr(knn, "_TILE_PAIRS", tiles[0] * tiles[1])
+            monkeypatch.setattr(knn, "_TILE_FLOATS", tiles[0] * tiles[1] * 9)
         rng = np.random.default_rng(7)
         make = positive_compositions if spec.needs_positive else sparse_compositions
         data = LabeledDataset(make(rng, 150, 9), np.arange(150) % 3, ("a", "b", "c"))
         x = spec.prepare(data.rows)
-        full = spec.kernel(x[:, None], x[None]).view(np.int64)  # one unblocked call
+        full = parts_last.kernel(spec, x[:, None], x[None]).view(np.int64)  # one call
         assert np.array_equal(full, full.T)
         tiled = pairwise_distances(data, data.rows, spec)
         assert np.array_equal(full, tiled.view(np.int64))
@@ -255,14 +256,14 @@ def test_nearest_matches_full_stable_argsort(monkeypatch, spec, exclude_self):
     # 60 rows give ragged last tiles, mirrored tiles, a masked diagonal split
     # over two tiles, kmax wider than a tile and ties across the k-th distance
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
-    monkeypatch.setattr(knn, "_TILE_PAIRS", 7 * 5)
+    monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 5 * 3)
     data = lattice_dataset(8, interior=False)
     n = len(data)
     train = spec.prepare(data.rows)
     # train itself, so tiles are mirrored, and equal values in another
     # array, so every pair is measured; LOOCV only ever passes train
     for q in [train] if exclude_self else [train, train[::-3].copy()]:
-        full = spec.kernel(q[:, None], train[None])  # one unblocked kernel call
+        full = parts_last.kernel(spec, q[:, None], train[None])  # one unblocked call
         if exclude_self:
             np.fill_diagonal(full, np.inf)
         order = np.argsort(full, axis=1, kind="stable")

@@ -8,6 +8,7 @@ trusted to well below the 1e-14 comparison tolerance used here.
 import numpy as np
 import pytest
 
+import parts_last
 from simplexknn import (
     DegenerateInput,
     DimensionMismatch,
@@ -24,6 +25,7 @@ from simplexknn import (
     taxicab_alpha_distance,
     taxicab_distance,
 )
+from simplexknn.metrics import _part_sum
 
 TOL = 1e-14
 
@@ -244,3 +246,69 @@ class TestDispatcher:
         batch = distance(spec, x, w)
         for i in range(5):
             assert batch[i] == distance(spec, x[i], w[i])
+
+
+@pytest.mark.parametrize("d", [*range(2, 41), 127, 128, 129, 200, 300])
+def test_part_sum_is_numpys_last_axis_sum(d):
+    # _part_sum must add in np.add.reduce's order, so it is compared on the
+    # bits, with signed zeros, infinities, subnormals and 16 decades of mixed
+    # signs; only NaN is compared as NaN, since which NaN survives an add
+    # depends on the compiled operand order (no kernel ever sums a NaN)
+    rng = np.random.default_rng(d)
+    t = rng.choice([-1.0, 1.0], size=(60, d)) * 10.0 ** rng.uniform(-8, 8, (60, d))
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310]
+    for rows, share in ((slice(0, 20), 0.05), (slice(20, 40), 0.3), (slice(40, 60), 0.9)):
+        picks = rng.random(t[rows].shape) < share
+        t[rows][picks] = rng.choice(special, size=picks.sum())
+    t[-1] = -0.0  # all negative zeros: numpy's sum is 0.0
+    t[-2] = rng.choice([0.0, -0.0], size=d)
+    with np.errstate(invalid="ignore"):
+        want = np.add.reduce(t, axis=-1)
+        got = _part_sum(np.ascontiguousarray(t.T))
+        one = np.array([_part_sum(row.copy()) for row in t])
+    for result in (got, one):
+        assert np.array_equal(np.isnan(result), np.isnan(want))
+        same = want.view(np.int64) == result.view(np.int64)
+        assert (same | np.isnan(want)).all()
+
+
+ALL_SPECS = [MetricSpec(f, a) for f in ("esov", "tc") for a in (-0.5, 0.0, 0.5, 1.0)] + [
+    MetricSpec(f) for f in ("aitchison", "hellinger", "angular")
+]
+
+
+def oracle_rows(rng, n, d, positive):
+    """Rows with zero parts, duplicates, and subnormal parts next to large ones.
+
+    Without zeros (positive), tiny normal parts take their place: a
+    negative power divides by the row minimum, which a subnormal overflows.
+    """
+    rows = rng.dirichlet(np.full(d, 0.5), size=n)
+    small = rng.random((n, d)) < 0.3
+    small[np.arange(n), rng.integers(0, d, n)] = False  # no row all zero
+    fill = [3e-308, 1e-300, 1e-30] if positive else [0.0, 0.0, 5e-324, 1e-310]
+    rows[small] = rng.choice(fill, size=small.sum())
+    return np.vstack([rows, rows[::5]])  # duplicate rows
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 9, 17, 130])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=repr)
+def test_kernels_equal_the_parts_last_formulas(spec, d):
+    rng = np.random.default_rng(d)
+    raw = oracle_rows(rng, 40, d, spec.needs_positive)
+    x = spec.prepare(raw)
+    want = parts_last.kernel(spec, x[:, None], x[None]).view(np.int64)
+    if spec == MetricSpec("esov") and d > 2:
+        # the quotient clamp changes some nonzero terms here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = 2.0 * x[:, None] / (x[:, None] + x[None])
+        assert ((x[:, None] > 0) & (q < np.finfo(float).tiny)).any()
+    xt = np.ascontiguousarray(x.T)
+    tile = spec.kernel(xt[:, :, None], xt[:, None, :])
+    assert np.array_equal(tile.view(np.int64), want)
+    stacked = distance(spec, raw[:, None], raw[None])
+    assert np.array_equal(stacked.view(np.int64), want)
+    for i, j in ((0, 1), (3, 3), (5, 40), (len(raw) - 1, 2)):
+        one = distance(spec, raw[i], raw[j])
+        assert type(one) is np.float64
+        assert one.view(np.int64) == want[i, j]
