@@ -40,7 +40,7 @@ from .errors import (
     SimplexKnnError,
     UndefinedRoc,
 )
-from .knn import NeighborConfig, _nearest, _vote
+from .knn import NeighborConfig, _nearest, _positive_k, _vote
 from .metrics import POWER_FAMILIES, MetricSpec
 
 __all__ = [
@@ -286,14 +286,19 @@ def _replication_stats(data, indices, dists, splits, ks):
     return acc, sens, spec
 
 
-def _mean_sd(values: np.ndarray) -> tuple[float | None, float | None]:
-    """NaN-aware mean and sample standard deviation over replications."""
-    good = values[~np.isnan(values)]
-    if good.size == 0:
-        return None, None
-    mean = float(good.mean())
-    sd = float(good.std(ddof=1)) if good.size > 1 else 0.0
-    return mean, sd
+def _mean_sd(values: np.ndarray) -> tuple[list, list]:
+    """Mean and sample sd over axis 0 (replications), as nested lists; None if NaN.
+
+    A column is NaN in every replication or in none: every class has a test
+    row in every split, so sensitivity is never NaN, and specificity is NaN
+    only for a single class, then in every split. On the contiguous last
+    axis each column sums in the pairwise order of its own 1-D array.
+    """
+    cols = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    mean = cols.mean(axis=-1)
+    sd = cols.std(axis=-1, ddof=1) if cols.shape[-1] > 1 else np.zeros(mean.shape)
+    absent = np.isnan(mean)
+    return np.where(absent, None, mean).tolist(), np.where(absent, None, sd).tolist()
 
 
 def grid_search(
@@ -310,9 +315,9 @@ def grid_search(
     For each of the B replications one split is drawn and reused for every
     grid cell. Reported accuracy is the mean of the per-replication correct-
     classification percentages; the sd column is their sample standard
-    deviation. Per-class sensitivity/specificity are averaged the same way,
-    skipping replications where a class had no test row (cannot happen under
-    stratification, but the aggregation tolerates it).
+    deviation. Per-class sensitivity/specificity are averaged the same way;
+    a statistic that is undefined in every replication (specificity of a
+    single class) is None.
 
     A metric error (for instance the log-ratio family meeting a zero part)
     fails every cell of the offending alpha with a diagnostic naming the
@@ -321,22 +326,18 @@ def grid_search(
     on the whole dataset. Families without a power parameter ignore the
     alpha grid and their cells carry alpha=None.
     """
-    MetricSpec(family)  # raises ValueError for an unknown family
+    power = family in POWER_FAMILIES
+    if power:
+        specs = tuple(dict.fromkeys(MetricSpec(family, a) for a in alphas))
+        if not specs:
+            raise ValueError("alphas must be non-empty")
+    else:
+        specs = (MetricSpec(family),)
     if B < 1:
         raise ValueError("B must be at least 1")
-    ks = tuple(dict.fromkeys(int(k) for k in ks))
-    if not ks or min(ks) < 1:
-        raise ValueError("ks must be positive integers")
-    if family not in POWER_FAMILIES:
-        alphas_eff: tuple = (None,)
-        alphas_out = None
-    else:
-        alphas_eff = tuple(dict.fromkeys(float(a) for a in alphas))
-        if not alphas_eff:
-            raise ValueError("alphas must be non-empty")
-        if not all(np.isfinite(alphas_eff)):
-            raise ValueError("alphas must be finite")
-        alphas_out = alphas_eff
+    ks = tuple(dict.fromkeys(_positive_k(k) for k in ks))
+    if not ks:
+        raise ValueError("ks must be non-empty")
     alloc = allocate_test_counts(data.class_counts(), test_total)
     train_size = len(data) - test_total
     if max(ks) > train_size:
@@ -354,10 +355,9 @@ def grid_search(
         digest.update(np.int64(b).tobytes())
         digest.update(np.ascontiguousarray(test_idx, dtype="<i8").tobytes())
 
-    n_classes = data.n_classes
     cells = []
-    for alpha in alphas_eff:
-        mspec = MetricSpec(family) if alpha is None else MetricSpec(family, alpha)
+    for mspec in specs:
+        alpha = mspec.alpha if power else None
         try:
             prepared = mspec.prepare(data.rows, "dataset", data.feature_names)
         except SimplexKnnError as exc:
@@ -369,25 +369,14 @@ def grid_search(
             continue
         indices, dists = _nearest(prepared, prepared, mspec, max(ks) + test_total)
         acc, sens, spec = _replication_stats(data, indices, dists, splits, ks)
-        for ki, k in enumerate(ks):
-            mean_acc, sd_acc = _mean_sd(acc[:, ki])
-            sens_stats = [_mean_sd(sens[:, ki, c]) for c in range(n_classes)]
-            spec_stats = [_mean_sd(spec[:, ki, c]) for c in range(n_classes)]
-            cells.append(
-                GridCell(
-                    alpha,
-                    k,
-                    mean_acc,
-                    sd_acc,
-                    tuple(s[0] for s in sens_stats),
-                    tuple(s[1] for s in sens_stats),
-                    tuple(s[0] for s in spec_stats),
-                    tuple(s[1] for s in spec_stats),
-                )
-            )
+        acc_mean, acc_sd = _mean_sd(acc)
+        per_class = _mean_sd(sens) + _mean_sd(spec)  # in GridCell's field order
+        for i, k in enumerate(ks):
+            class_stats = (tuple(stat[i]) for stat in per_class)
+            cells.append(GridCell(alpha, k, acc_mean[i], acc_sd[i], *class_stats))
     return GridResult(
         family=family,
-        alphas=alphas_out,
+        alphas=tuple(s.alpha for s in specs) if power else None,
         ks=ks,
         B=B,
         test_total=test_total,
@@ -447,8 +436,7 @@ def roc_curve(scores, truth, class_index: int, k: int | None = None) -> RocCurve
             f"class {class_index} has {n_pos} positive and {n_neg} negative rows"
         )
     if k is not None:
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k!r}")
+        k = _positive_k(k)
         levels = np.arange(k, -1, -1) / k
     else:
         levels = np.unique(col)[::-1]

@@ -43,6 +43,13 @@ __all__ = [
 ]
 
 
+def _positive_k(k) -> int:
+    """k as an int: the one rule for a neighbour count (a bool is not one)."""
+    if isinstance(k, (bool, np.bool_)) or int(k) != k or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
+    return int(k)
+
+
 @dataclass(frozen=True)
 class NeighborConfig:
     """Number of neighbours and the metric they are measured with."""
@@ -51,13 +58,7 @@ class NeighborConfig:
     spec: MetricSpec
 
     def __post_init__(self):
-        if (
-            isinstance(self.k, (bool, np.bool_))
-            or int(self.k) != self.k
-            or self.k < 1
-        ):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _positive_k(self.k))
 
 
 # One kernel call measures a tile of at most _BLOCK_ROWS query rows, with at

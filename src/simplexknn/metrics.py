@@ -100,19 +100,17 @@ class MetricSpec:
         Rows must be finite and non-negative and not all zero; where the
         metric excludes zero parts, no part may be zero. Rows off the simplex
         are closed, then power-transformed unless alpha is 1. An error names
-        the offending row of stacked input as "{role} row i" and a zero part
+        the offending row of stacked input as "{role} row i" and the part
         by column name when names (one per column) is given, else by index.
         """
-        rows = _validated(rows, role)
-        if self.needs_positive and not rows.all():
-            zero = rows.reshape(-1, rows.shape[-1]) == 0
-            bad, col = (int(i) for i in np.argwhere(zero)[0])
-            where = role if rows.ndim == 1 else f"{role} row {bad}"
-            part = f"part {col}" if names is None else f"column {names[col]}"
-            msg = f"{where}, {part} is zero"
-            if self.family == "aitchison":
-                raise ZeroInAitchison(msg)
-            raise ZeroUnderNegativePower(msg + f" under alpha={self.alpha:g}")
+        zero = None
+        if self.needs_positive:
+            zero = (
+                (ZeroInAitchison, "is zero")
+                if self.family == "aitchison"
+                else (ZeroUnderNegativePower, f"is zero under alpha={self.alpha:g}")
+            )
+        rows = _validated(rows, role, names, zero)
         if self.alpha == 1.0:
             return _as_composition(rows)
         return _power_transform(rows, self.alpha)

@@ -51,18 +51,27 @@ def _domain_fault(rows: np.ndarray):
     return None
 
 
-def _validated(v, role: str = "composition") -> np.ndarray:
+def _validated(v, role: str = "composition", names=None, zero=None) -> np.ndarray:
     """v as a float array whose rows follow the composition rule.
 
-    Errors name the offending row as "{role} row i" when v is stacked.
+    zero is (error class, reason) where a zero part is outside the domain;
+    that check runs last. Errors name the offending row as "{role} row i"
+    when v is stacked, and the part as "part j", or "column NAME" when names
+    (one per column) is given.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] < 2:
         raise DegenerateInput(f"{role} needs at least 2 parts, got shape {v.shape}")
-    fault = _domain_fault(v.reshape(-1, v.shape[-1]))
+    rows = v.reshape(-1, v.shape[-1])
+    fault = _domain_fault(rows)
+    if fault is None and zero is not None and not rows.all():
+        row, part = np.argwhere(rows == 0)[0]
+        fault = zero[0], int(row), int(part), zero[1]
     if fault is not None:
-        error, row, _, reason = fault
+        error, row, part, reason = fault
         where = role if v.ndim == 1 else f"{role} row {row}"
+        if part is not None:
+            where += f", part {part}" if names is None else f", column {names[part]}"
         raise error(f"{where} {reason}")
     return v
 
@@ -98,34 +107,36 @@ def power_transform(x, alpha: float) -> np.ndarray:
       * alpha > 0: zero parts stay zero (0^alpha = 0).
       * alpha = 0: every positive part maps to an equal share; zeros stay zero
         (the continuous limit as alpha -> 0+ for each zero pattern).
-      * alpha < 0: any zero part is an error, the transform diverges there.
+      * alpha < 0: any zero part is an error (ZeroUnderNegativePower, naming
+        the row and part), the transform diverges there.
 
     Parts are rescaled by the row maximum (or minimum for negative alpha)
-    before exponentiation so extreme alpha values cannot overflow. They can
-    underflow: a positive part far below the scale may map to exactly 0, e.g.
-    alpha=1e6 maps [.5, .5-1e-12, 1e-12] to [.5000005, .4999995, 0.].
+    before exponentiation so extreme alpha values cannot overflow; where a
+    subnormal minimum overflows the ratio itself, that part is computed
+    from logarithms. Parts can underflow: a positive part far below the
+    scale may map to exactly 0, e.g. alpha=1e6 maps [.5, .5-1e-12, 1e-12]
+    to [.5000005, .4999995, 0.].
     """
-    x = _validated(x)
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    return _power_transform(x, alpha)
+    zero = (ZeroUnderNegativePower, f"is zero under alpha={alpha:g}")
+    return _power_transform(_validated(x, zero=zero if alpha < 0 else None), alpha)
 
 
 def _power_transform(x: np.ndarray, alpha: float) -> np.ndarray:
-    """power_transform of rows already checked by _validated, at finite alpha."""
+    """power_transform of rows checked by _validated (no zero at alpha < 0)."""
     positive = x > 0
     n_positive = positive.sum(axis=-1, keepdims=True)
     if alpha == 0:
         return positive / n_positive
-    if alpha < 0:
-        if not positive.all():
-            raise ZeroUnderNegativePower(
-                "zero part under negative power alpha=%g" % alpha
-            )
-        scale = x.min(axis=-1, keepdims=True)
-    else:
-        scale = x.max(axis=-1, keepdims=True)
-    y = (x / scale) ** alpha
+    scale = (x.min if alpha < 0 else x.max)(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        y = x / scale
+    far = np.isinf(y)  # only at alpha < 0, below a subnormal minimum
+    y **= alpha
+    if far.any():
+        logs = np.log(x[far]) - np.log(np.broadcast_to(scale, x.shape)[far])
+        y[far] = np.exp(alpha * logs)
     return y / y.sum(axis=-1, keepdims=True)
 
 

@@ -22,9 +22,18 @@ from simplexknn import (
     stratified_holdout,
 )
 from simplexknn import knn
-from simplexknn.evaluation import _mean_sd
 
 N_CLASSES = 3
+
+
+def _mean_sd(values):
+    """NaN-aware mean and sample sd of one column of replications."""
+    good = values[~np.isnan(values)]
+    if good.size == 0:
+        return None, None
+    mean = float(good.mean())
+    sd = float(good.std(ddof=1)) if good.size > 1 else 0.0
+    return mean, sd
 
 
 def lattice_dataset(resolution, interior):

@@ -265,6 +265,34 @@ class TestGridSearch:
         best = result.best()
         assert best.mean_accuracy == max(c.mean_accuracy for c in result.cells)
 
+    def test_single_class_specificity_is_absent(self, blob_dataset):
+        # every test row is a positive of the one class, and none a negative
+        labels = np.zeros(len(blob_dataset), dtype=int)
+        data = LabeledDataset(blob_dataset.rows, labels, ("only",))
+        result = grid_search(data, [1.0], [1, 3], "esov", B=4, test_total=6, seed=3)
+        for cell in result.cells:
+            assert (cell.mean_accuracy, cell.sd_accuracy) == (100.0, 0.0)
+            assert cell.sensitivity_mean == (1.0,) and cell.sensitivity_sd == (0.0,)
+            assert cell.specificity_mean == (None,) and cell.specificity_sd == (None,)
+
+    @pytest.mark.parametrize(
+        "alphas, ks",
+        [([1.0], [2.5]), ([1.0], [True]), ([1.0], [0]), ([1.0], []),
+         ([True], [1]), ([np.nan], [1]), ([], [1])],
+    )
+    def test_grid_follows_the_library_alpha_and_k_rules(self, blob_dataset, alphas, ks):
+        # the rules of MetricSpec and NeighborConfig: no truncation, no bools
+        with pytest.raises(ValueError):
+            grid_search(blob_dataset, alphas, ks, "esov", B=2, test_total=6, seed=1)
+
+    def test_grid_dedupes_alphas_and_ks_in_order(self, blob_dataset):
+        result = grid_search(
+            blob_dataset, [0.0, -0.0, 0.5, 0.0], [3, 1, 3.0], "tc", B=2,
+            test_total=6, seed=1,
+        )
+        assert result.alphas == (0.0, 0.5) and result.ks == (3, 1)
+        assert all(type(c.k) is int for c in result.cells)
+
     @pytest.mark.parametrize("family", ["tc", "esov"])
     def test_memory_stays_below_one_square_matrix(self, family):
         # each row keeps max(ks) + test_total ranked columns, never all n

@@ -9,6 +9,7 @@ from simplexknn import (
     InsufficientTraining,
     LabeledDataset,
     MetricSpec,
+    NegativeComponent,
     NeighborConfig,
     ZeroInAitchison,
     classify,
@@ -216,6 +217,12 @@ class TestClassify:
         msg = "^training row 17, column Mg is zero$"
         with pytest.raises(ZeroInAitchison, match=msg):
             call(data, config)
+
+    def test_query_domain_errors_name_the_part(self, blob_dataset):
+        config = NeighborConfig(1, MetricSpec("esov"))
+        msg = "^query row 0, part 1 contains negative parts$"
+        with pytest.raises(NegativeComponent, match=msg):
+            classify(blob_dataset, [0.5, -0.1, 0.3, 0.3], config)
 
     def test_training_rows_are_prepared_once(self, monkeypatch, blob_dataset):
         calls = []

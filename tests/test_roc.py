@@ -72,10 +72,11 @@ class TestRocCurve:
         with pytest.raises(UndefinedRoc):
             roc_curve(scores, [0, 0], 0, k=1)
 
-    @pytest.mark.parametrize("k", [0, -1])
+    # the NeighborConfig rule: no truncation of 2.5, no bool as 1
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
     def test_k_below_one_rejected(self, k):
         scores = one_vs_rest_scores([0.0, 1.0])
-        with pytest.raises(ValueError, match="k must be at least 1"):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
             roc_curve(scores, [1, 0], 0, k=k)
 
 

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,28 @@ class TestPowerTransform:
     def test_negative_alpha_rejects_zero_parts(self):
         with pytest.raises(ZeroUnderNegativePower):
             power_transform([0.5, 0.5, 0.0], -1.0)
+
+    def test_zero_part_error_names_row_and_part(self):
+        msg = "^composition row 1, part 2 is zero under alpha=-0.5$"
+        with pytest.raises(ZeroUnderNegativePower, match=msg):
+            power_transform([[0.2, 0.3, 0.5], [0.5, 0.5, 0.0]], -0.5)
+
+    @pytest.mark.parametrize("alpha", [-0.25, -0.5, -3.0])
+    def test_subnormal_minimum_matches_exact_arithmetic(self, alpha):
+        # x / min overflows for these minima; a RuntimeWarning fails the test
+        x = np.array([[5e-324, 0.5, 0.5], [1e-310, 0.2, 0.8], [3e-320, 1e-300, 1.0]])
+        u = power_transform(x, alpha)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for row, out in zip(x, u):
+                y = [decimal.Decimal(float(v)) ** decimal.Decimal(alpha) for v in row]
+                exact = [float(v / sum(y)) for v in y]
+                for got, want in zip(out, exact):
+                    if want == 0.0:  # below the smallest subnormal
+                        assert got == 0.0
+                    else:
+                        assert want >= np.finfo(float).tiny  # keep the data normal
+                        assert abs(got - want) <= 1e-12 * want
 
     def test_extreme_alpha_underflows_positive_part_to_zero(self):
         # documented: (1e-12 / 0.5) ** 1e6 is below the smallest double
