@@ -29,7 +29,7 @@ from . import __version__
 from .dataset import DEFAULT_DROP_COLUMNS, LabeledDataset, _read_csv, _write_table
 from .errors import SimplexKnnError
 from .evaluation import auc, grid_search, loocv_scores, roc_curve
-from .knn import NeighborConfig, pairwise_distances
+from .knn import NeighborConfig, _positive_k, pairwise_distances
 from .loci import DEFAULT_RESOLUTION, distance_field, ternary_embed
 from .metrics import FAMILIES, POWER_FAMILIES, MetricSpec
 from .simplex import barycentre, power_transform
@@ -45,7 +45,7 @@ def _snap(value: float) -> float:
 
 
 def parse_grid(text: str, integer: bool = False) -> list:
-    """Parse 'start:end:step' (inclusive ends) and comma lists of values."""
+    """Parse 'start:end:step' (inclusive ends) and comma lists; integer: k values."""
     values: list[float] = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -58,6 +58,8 @@ def parse_grid(text: str, integer: bool = False) -> list:
             if len(fields) != 3:
                 raise ValueError(f"bad grid syntax {chunk!r}, want start:end:step")
             start, end, step = (float(f) for f in fields)
+            if not np.isfinite([start, end, step]).all():  # the loop would never end
+                raise ValueError(f"grid range must be finite in {chunk!r}")
             if step <= 0:
                 raise ValueError(f"grid step must be positive in {chunk!r}")
             if end < start - _GRID_EPS:
@@ -74,9 +76,9 @@ def parse_grid(text: str, integer: bool = False) -> list:
     if integer:
         out = []
         for v in values:
-            if abs(v - round(v)) > 1e-9:
+            if np.isfinite(v) and abs(v - round(v)) > 1e-9:
                 raise ValueError(f"grid value {v} is not an integer")
-            out.append(int(round(v)))
+            out.append(_positive_k(round(v) if np.isfinite(v) else v))
     else:
         out = values
     deduped = list(dict.fromkeys(out))

@@ -18,9 +18,10 @@ memory is O(n * (max(ks) + test_total)) plus one tile, never n x n. A
 replication removes test_total columns, the row itself among them, so each
 test row's first max(ks) training columns lie in that prefix; filtering it
 down to the training columns gives exactly the order of a per-replication
-matrix. Every k is voted from one prefix sum over the ranked
-neighbours, so results are bit-identical to classifying each (replication,
-alpha, k) cell separately.
+matrix. Replications go in blocks sized like a tile (knn._TILE_FLOATS), so
+memory does not grow with B: one gather, mask lookup and cumsum filter a
+block, one knn._vote votes every k and one bincount counts every (k,
+replication) confusion matrix, bit-identical to classifying each cell alone.
 
 Also here: confusion statistics, leave-one-out membership scores and
 one-vs-rest ROC curves with trapezoidal AUC.
@@ -40,6 +41,7 @@ from .errors import (
     SimplexKnnError,
     UndefinedRoc,
 )
+from . import knn
 from .knn import NeighborConfig, _nearest, _positive_k, _vote
 from .metrics import POWER_FAMILIES, MetricSpec
 
@@ -110,20 +112,14 @@ def allocate_test_counts(class_counts, test_total: int) -> np.ndarray:
     return alloc
 
 
-def _split_indices(
-    data: LabeledDataset, alloc: np.ndarray, seed: int, replication_index: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _test_rows(data, alloc: np.ndarray, seed: int, replication_index: int):
+    """Sorted test rows of one replication: alloc[c] rows drawn from class c."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed) % 2**64, int(replication_index) % 2**64])
     )
-    picks = []
-    for c in range(data.n_classes):
-        members = np.flatnonzero(data.labels == c)
-        picks.append(rng.permutation(members)[: alloc[c]])
-    test_idx = np.sort(np.concatenate(picks))
-    mask = np.ones(len(data), dtype=bool)
-    mask[test_idx] = False
-    return np.flatnonzero(mask), test_idx
+    members = (np.flatnonzero(data.labels == c) for c in range(data.n_classes))
+    picks = [rng.permutation(rows)[:count] for rows, count in zip(members, alloc)]
+    return np.sort(np.concatenate(picks))
 
 
 def stratified_holdout(
@@ -136,7 +132,8 @@ def stratified_holdout(
     class). The stream is fully determined by (seed, replication_index).
     """
     alloc = allocate_test_counts(data.class_counts(), test_total)
-    train_idx, test_idx = _split_indices(data, alloc, seed, replication_index)
+    test_idx = _test_rows(data, alloc, seed, replication_index)
+    train_idx = np.setdiff1d(np.arange(len(data)), test_idx)
     return data.subset(train_idx), data.subset(test_idx)
 
 
@@ -253,50 +250,51 @@ class GridResult:
         }
 
 
-def _replication_stats(data, indices, dists, splits, ks):
+def _replication_stats(data, indices, dists, tests, ks):
     """Per-replication statistics of every k from one metric's ranking.
 
-    indices and dists are each row's first max(ks) + test_total columns in
-    (distance, row index) order, from _nearest over the whole dataset; each
-    test row's first max(ks) training columns lie in that prefix. Returns
-    accuracy (B, K) in percent and sensitivity and specificity (B, K, C).
+    indices and dists are each row's first max(ks) + test_total columns, from
+    _nearest over the whole dataset; tests is (B, test_total). A block of
+    replications keeps its (rows, columns) arrays within knn._TILE_FLOATS.
+    Returns accuracy (K, B) in percent, sensitivity and specificity (K, C, B).
     """
-    n_classes = data.n_classes
-    kmax = max(ks)
-    n_ks = len(ks)
-    B = len(splits)
-    acc = np.empty((B, n_ks))
-    cms = np.empty((B, n_ks, n_classes, n_classes), dtype=np.intp)
-    k_offset = np.arange(n_ks)[:, None] * n_classes
-    for b, (train_mask, test_idx) in enumerate(splits):
-        ranked = indices[test_idx]
+    n_classes, kmax, n_ks = data.n_classes, max(ks), len(ks)
+    (B, test_n), n = tests.shape, len(data)
+    per_block = max(1, knn._TILE_FLOATS // (test_n * indices.shape[1]))
+    acc = np.empty((n_ks, B))
+    rates = np.empty((2, n_ks, n_classes, B))  # sensitivity, specificity
+    for b0 in range(0, B, per_block):
+        block = tests[b0 : b0 + per_block]
+        reps, rows = len(block), block.ravel()
+        rep = np.arange(rows.size) // test_n  # each test row's replication
+        train = np.ones((reps, n), dtype=bool)
+        train[rep, rows] = False
+        ranked = indices[rows]
         # every row keeps its first kmax training columns, in global order
-        keep = train_mask[ranked]
+        keep = train.reshape(-1)[ranked + (rep * n)[:, None]]
         keep &= np.cumsum(keep, axis=1) <= kmax
-        sel = ranked[keep].reshape(test_idx.size, kmax)
-        ranked_dists = dists[test_idx][keep].reshape(test_idx.size, kmax)
-        winners, _ = _vote(ranked_dists, data.labels[sel], ks, n_classes)
-        truth = data.labels[test_idx]
-        acc[b] = 100.0 * ((winners == truth).sum(axis=1) / test_idx.size)
-        flat = ((k_offset + truth) * n_classes + winners).ravel()
-        cms[b] = np.bincount(flat, minlength=n_ks * n_classes**2).reshape(
-            n_ks, n_classes, n_classes
-        )
-    sens, spec = sensitivity_specificity(cms)
-    return acc, sens, spec
+        sel = ranked[keep].reshape(rows.size, kmax)
+        ranked_dists = dists[rows][keep].reshape(rows.size, kmax)
+        winners, _ = _vote(ranked_dists.T, data.labels[sel].T, ks, n_classes)
+        cell = (np.arange(n_ks)[:, None] * reps + rep) * n_classes + data.labels[rows]
+        flat = (cell * n_classes + winners).ravel()
+        cms = np.bincount(flat, minlength=n_ks * reps * n_classes**2)
+        cms = cms.reshape(n_ks, reps, n_classes, n_classes)
+        acc[:, b0 : b0 + reps] = 100.0 * (np.trace(cms, axis1=2, axis2=3) / test_n)
+        rates[..., b0 : b0 + reps] = np.swapaxes(sensitivity_specificity(cms), 2, 3)
+    return acc, rates[0], rates[1]
 
 
 def _mean_sd(values: np.ndarray) -> tuple[list, list]:
-    """Mean and sample sd over axis 0 (replications), as nested lists; None if NaN.
+    """Mean and sample sd over the last axis (replications) as lists; None if NaN.
 
     A column is NaN in every replication or in none: every class has a test
     row in every split, so sensitivity is never NaN, and specificity is NaN
-    only for a single class, then in every split. On the contiguous last
-    axis each column sums in the pairwise order of its own 1-D array.
+    only for a single class, then in every split. values is C-contiguous, so
+    each column sums in the pairwise order of its own 1-D array.
     """
-    cols = np.ascontiguousarray(np.moveaxis(values, 0, -1))
-    mean = cols.mean(axis=-1)
-    sd = cols.std(axis=-1, ddof=1) if cols.shape[-1] > 1 else np.zeros(mean.shape)
+    mean = values.mean(axis=-1)
+    sd = values.std(axis=-1, ddof=1) if values.shape[-1] > 1 else np.zeros(mean.shape)
     absent = np.isnan(mean)
     return np.where(absent, None, mean).tolist(), np.where(absent, None, sd).tolist()
 
@@ -345,15 +343,12 @@ def grid_search(
             f"k={max(ks)} exceeds the training size {train_size}"
         )
 
-    splits = []
+    tests = np.empty((B, test_total), dtype=np.intp)
     digest = hashlib.sha256()
     for b in range(B):
-        train_idx, test_idx = _split_indices(data, alloc, seed, b)
-        train_mask = np.zeros(len(data), dtype=bool)
-        train_mask[train_idx] = True
-        splits.append((train_mask, test_idx))
+        tests[b] = _test_rows(data, alloc, seed, b)
         digest.update(np.int64(b).tobytes())
-        digest.update(np.ascontiguousarray(test_idx, dtype="<i8").tobytes())
+        digest.update(tests[b].astype("<i8").tobytes())
 
     cells = []
     for mspec in specs:
@@ -368,7 +363,7 @@ def grid_search(
             )
             continue
         indices, dists = _nearest(prepared, prepared, mspec, max(ks) + test_total)
-        acc, sens, spec = _replication_stats(data, indices, dists, splits, ks)
+        acc, sens, spec = _replication_stats(data, indices, dists, tests, ks)
         acc_mean, acc_sd = _mean_sd(acc)
         per_class = _mean_sd(sens) + _mean_sd(spec)  # in GridCell's field order
         for i, k in enumerate(ks):
@@ -398,8 +393,8 @@ def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
     k = config.k
     prepared = config.spec.prepare(data.rows, "dataset", data.feature_names)
     indices, dists = _nearest(prepared, prepared, config.spec, k, exclude_self=True)
-    _, counts = _vote(dists, data.labels[indices], (k,), data.n_classes)
-    return counts[0] / k
+    _, counts = _vote(dists.T, data.labels[indices].T, (k,), data.n_classes)
+    return np.ascontiguousarray(counts.T) / k
 
 
 @dataclass(frozen=True)

@@ -10,19 +10,21 @@ reproducible across runs, platforms and thread schedules:
     index;
   * votes are unweighted, and the membership score of class c is simply
     (neighbours labeled c) / k, so scores sum to 1 and their argmax under the
-    same tie rules reproduces classify().
+    same tie rules reproduces classify();
+  * one vote serves classify, LOOCV and tune: it reads the ranked neighbours
+    neighbour-major, so every query's first k form one prefix, and decides
+    each k over class-first (C, m) counts and distance sums.
 
-Distances are computed in tiles of at most _BLOCK_ROWS query rows, sized
-by a float budget: rows * columns * parts <= _TILE_FLOATS, so every kernel
-temporary (one float per part of each pair) stays under 128 KiB. The rows
-go to the kernels parts-first, the query block as (D, rows, 1) against
-(D, 1, columns), so each elementwise pass runs along the columns. A dataset
-measured against itself (LOOCV, tune, the dist command) computes only the
-tiles from each diagonal block rightwards and mirrors them, since every
-kernel is bitwise symmetric, so each distance is computed once. Each row
-keeps a running set of its k best (distance, row index) keys, updated from
-every tile by one argpartition, and sorts it once at the end; no row is
-ever fully sorted, and memory is O(n * k) plus one tile, independent of n.
+Distances are computed in tiles of at most _BLOCK_ROWS query rows, sized by
+a float budget: rows * columns * parts <= _TILE_FLOATS, so every kernel
+temporary (one float per part of each pair) stays under 128 KiB. The rows go
+to the kernels parts-first, the query block as (D, rows, 1) against (D, 1,
+columns), so each elementwise pass runs along the columns. A dataset against
+itself (LOOCV, tune, dist) computes only the tiles from each diagonal block
+rightwards and mirrors them, as every kernel is bitwise symmetric. Each row
+keeps a running set of its k best (distance, row index) keys, merged from
+every tile by one argpartition and sorted once at the end, so memory is
+O(n * k) plus one tile, independent of n.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ __all__ = [
 
 def _positive_k(k) -> int:
     """k as an int: the one rule for a neighbour count (a bool is not one)."""
-    if isinstance(k, (bool, np.bool_)) or int(k) != k or k < 1:
+    bad = isinstance(k, (bool, np.bool_)) or k in (np.inf, -np.inf) or k != k  # nan
+    if bad or int(k) != k or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
     return int(k)
 
@@ -206,23 +209,23 @@ def _vote(
     ks: tuple[int, ...],
     n_classes: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vote among the first k ranked neighbours of each row, for every k in ks.
+    """Vote among the first k ranked neighbours of each query, for every k in ks.
 
-    ranked_dists and ranked_labels are (m, kmax) in neighbour order, with
-    kmax >= max(ks). Returns (winners (K, m), neighbour counts per class
-    (K, m, C)). Implements the tie rules documented in the module docstring.
-    Counts and distance sums for every k come from one prefix sum each; a
-    class's sum adds its members' distances in neighbour order, exactly like
-    accumulating them one neighbour at a time.
+    ranked_dists and ranked_labels are (kmax, m), neighbour-major. Returns
+    (winners (K, m), class counts (C, m) of the last k). Bincounts over the
+    prefix give each (class, query) count and distance sum, added in
+    neighbour order; over the class axis 0, argmin takes the first class
+    with the smallest sum among those with the most votes (module rules).
     """
-    onehot = ranked_labels[:, :, None] == np.arange(n_classes)
-    at_k = np.asarray(ks, dtype=np.intp) - 1
-    counts = np.cumsum(onehot, axis=1, dtype=np.intp)[:, at_k].swapaxes(0, 1)
-    member_dists = np.where(onehot, ranked_dists[:, :, None], 0.0)
-    dist_sums = np.cumsum(member_dists, axis=1)[:, at_k].swapaxes(0, 1)
-    top = counts.max(axis=-1, keepdims=True)
-    tiebreak = np.where(counts == top, dist_sums, np.inf)
-    winners = tiebreak.argmin(axis=-1)  # argmin keeps the lower class index on ties
+    m = np.shape(ranked_labels)[1]
+    cells = (ranked_labels * m + np.arange(m)).ravel()
+    dists = np.ravel(ranked_dists)
+    winners = np.empty((len(ks), m), dtype=np.intp)
+    for i, k in enumerate(ks):
+        prefix = cells[: k * m]
+        counts = np.bincount(prefix, minlength=n_classes * m).reshape(n_classes, m)
+        sums = np.bincount(prefix, dists[: k * m], n_classes * m).reshape(n_classes, m)
+        winners[i] = np.where(counts == counts.max(axis=0), sums, np.inf).argmin(axis=0)
     return winners, counts
 
 
@@ -233,9 +236,9 @@ def _knn_vote(
     prepared = _prepared(train, np.asarray(query, dtype=float)[None], config.spec)
     indices, dists = _nearest(*prepared, config.spec, config.k)
     winners, counts = _vote(
-        dists, train.labels[indices], (config.k,), train.n_classes
+        dists.T, train.labels[indices].T, (config.k,), train.n_classes
     )
-    return int(winners[0, 0]), counts[0, 0]
+    return int(winners[0, 0]), counts[:, 0]
 
 
 def classify(train: LabeledDataset, query, config: NeighborConfig) -> int:

@@ -67,6 +67,18 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("1.5", integer=True)
 
+    @pytest.mark.parametrize("text", ["inf", "nan", "-inf", "3,inf"])
+    def test_non_finite_k_gets_the_shared_message(self, text):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            parse_grid(text, integer=True)
+
+    @pytest.mark.parametrize("text", ["1:inf", "0:1:nan", "nan:1", "-inf:1:0.5"])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_non_finite_range_rejected(self, text, integer):
+        # an unbounded range would never end
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_grid(text, integer=integer)
+
 
 class TestTuneCommand:
     def run_tune(self, data_csv, out, seed=7, fmt="json"):
@@ -143,6 +155,23 @@ class TestTuneCommand:
         )
         assert rc == 1
         assert "gone.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "k, message",
+        [("inf", "k must be a positive integer, got inf"),
+         ("nan", "k must be a positive integer, got nan"),
+         ("1,inf", "k must be a positive integer, got inf"),
+         ("1:inf", "grid range must be finite in '1:inf'")],
+    )
+    def test_non_finite_k_fails_with_diagnostic(self, data_csv, tmp_path, capsys, k, message):
+        rc = main(
+            ["tune", "--input", str(data_csv), "--label-column", "kind",
+             "--family", "esov", f"--k={k}", "--test-n", "6", "--seed", "1",
+             "--output", str(tmp_path / "x.json")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.json").exists()
 
     def test_default_grid_yields_21_by_15_cells(self, data_csv, tmp_path):
         out = tmp_path / "grid.json"

@@ -17,8 +17,10 @@ from simplexknn import (
     sensitivity_specificity,
     stratified_holdout,
 )
+from simplexknn import knn
 
 from conftest import compositional_blobs, sparse_compositions
+from test_engine import lattice_dataset
 
 
 class TestAllocation:
@@ -285,6 +287,11 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(blob_dataset, alphas, ks, "esov", B=2, test_total=6, seed=1)
 
+    @pytest.mark.parametrize("k", [np.inf, np.nan])
+    def test_non_finite_k_gets_the_shared_message(self, blob_dataset, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            grid_search(blob_dataset, [1.0], [1, k], "esov", B=2, test_total=6, seed=1)
+
     def test_grid_dedupes_alphas_and_ks_in_order(self, blob_dataset):
         result = grid_search(
             blob_dataset, [0.0, -0.0, 0.5, 0.0], [3, 1, 3.0], "tc", B=2,
@@ -361,3 +368,40 @@ class TestLoocv:
         perm = rng.permutation(len(blob_dataset))
         shuffled = blob_dataset.subset(perm)
         np.testing.assert_array_equal(loocv_scores(shuffled, config), base[perm])
+
+
+class TestReplicationBlocks:
+    """Replications are voted in blocks of knn._TILE_FLOATS floats per work array."""
+
+    def test_block_size_leaves_the_grid_unchanged(self, monkeypatch):
+        # 1 replication per block, 3 (which does not divide B = 7), and all 7;
+        # the budget also sizes the distance tiles, which change nothing either
+        monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
+        data = lattice_dataset(8, interior=False)
+        ks, test_total, B = (4, 1, 2, 3, 7), 12, 7
+        per_replication = test_total * (max(ks) + test_total)
+        reports = []
+        for per_block in (1, 3, B):
+            monkeypatch.setattr(knn, "_TILE_FLOATS", per_block * per_replication)
+            result = grid_search(data, [0.0, 0.5, 1.0], ks, "esov", B, test_total, seed=29)
+            reports.append(result.to_dict())
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_memory_does_not_grow_with_the_replications(self):
+        # B = 10 already fills two blocks, so B = 200 adds only its test rows
+        # and per-replication statistics, not larger work arrays
+        n, ks, test_total = 120, (1, 60), 30
+        assert knn._TILE_FLOATS // (test_total * (max(ks) + test_total)) == 5
+        rng = np.random.default_rng(43)
+        data = LabeledDataset(
+            rng.dirichlet(np.ones(4), size=n), np.arange(n) % 3, ("a", "b", "c")
+        )
+        peaks = []
+        for B in (10, 200):
+            tracemalloc.start()
+            try:
+                grid_search(data, [0.5], ks, "esov", B, test_total, seed=9)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= knn._TILE_FLOATS * np.dtype(float).itemsize

@@ -20,6 +20,7 @@ from simplexknn import (
 from simplexknn import knn, simplex
 from simplexknn.knn import _nearest, _vote
 
+import class_last
 import parts_last
 from conftest import compositional_blobs, positive_compositions, sparse_compositions
 from test_engine import lattice_dataset
@@ -107,6 +108,53 @@ class TestNeighborConfig:
             with pytest.raises(ValueError):
                 NeighborConfig(bad, MetricSpec("esov"))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, np.float32("inf")])
+    def test_non_finite_k_gets_the_shared_message(self, bad):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            NeighborConfig(bad, MetricSpec("esov"))
+
+
+class TestVote:
+    """knn._vote against the frozen class-last vote, on heavily tied input."""
+
+    KS = (4, 1, 2, 3, 7)  # unsorted and with a gap: every k is voted alone
+
+    def check(self, dists, labels, n_classes):
+        want_winners, want_counts = class_last.vote(dists, labels, self.KS, n_classes)
+        winners, counts = _vote(dists.T, labels.T, self.KS, n_classes)
+        assert winners.dtype == want_winners.dtype
+        assert np.array_equal(winners, want_winners)
+        assert np.array_equal(counts, want_counts[-1].T)  # counts of the last k
+        for i, k in enumerate(self.KS):
+            winners, counts = _vote(dists.T, labels.T, (k,), n_classes)
+            assert np.array_equal(winners[0], want_winners[i])
+            assert np.array_equal(counts, want_counts[i].T)
+        return want_counts
+
+    @pytest.mark.parametrize("n_classes", [1, 2, 6])
+    @pytest.mark.parametrize("m", [1, 50])
+    def test_equals_the_class_last_vote(self, n_classes, m):
+        rng = np.random.default_rng(10 * n_classes + m)
+        kmax = max(self.KS)
+        count_ties = 0
+        for _ in range(30):
+            # three lattice distances in neighbour order: sums tie as well
+            dists = np.sort(rng.integers(0, 3, (m, kmax)) * 0.25, axis=1)
+            labels = rng.integers(0, n_classes, (m, kmax))
+            counts = self.check(dists, labels, n_classes)
+            top = counts == counts.max(axis=-1, keepdims=True)
+            count_ties += int((top.sum(axis=-1) > 1).sum())
+        assert count_ties > 0 or n_classes == 1
+
+    @pytest.mark.parametrize("n_classes", [2, 6])
+    def test_equal_sums_go_to_the_lower_class(self, n_classes):
+        # one distance everywhere: a count tie is a sum tie, so the index decides
+        rng = np.random.default_rng(n_classes)
+        labels = rng.integers(0, n_classes, (40, max(self.KS)))
+        self.check(np.full(labels.shape, 0.5), labels, n_classes)
+        winners, _ = _vote(np.full((2, 1), 0.5), np.array([[1], [0]]), (2,), 2)
+        assert winners.tolist() == [[0]]
+
 
 class TestClassify:
     def test_k1_exact_match_returns_its_label(self, blob_dataset):
@@ -183,7 +231,7 @@ class TestClassify:
         def winners(dist):
             sel = np.argsort(dist, axis=1, kind="stable")[:, : max(ks)]
             ranked = np.take_along_axis(dist, sel, axis=1)
-            return _vote(ranked, blob_dataset.labels[sel], ks, 3)[0]
+            return _vote(ranked.T, blob_dataset.labels[sel].T, ks, 3)[0]
 
         base = winners(m)
         for c in (1.0 / np.sqrt(np.log(10.0)), 3.7):

@@ -79,6 +79,12 @@ class TestRocCurve:
         with pytest.raises(ValueError, match="k must be a positive integer"):
             roc_curve(scores, [1, 0], 0, k=k)
 
+    @pytest.mark.parametrize("k", [np.inf, np.nan])
+    def test_non_finite_k_rejected(self, k):
+        scores = one_vs_rest_scores([0.0, 1.0])
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            roc_curve(scores, [1, 0], 0, k=k)
+
 
 class TestAuc:
     def test_two_point_diagonal(self):
