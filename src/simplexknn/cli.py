@@ -32,7 +32,7 @@ from .evaluation import auc, grid_search, loocv_scores, roc_curve
 from .knn import NeighborConfig, _positive_k, pairwise_distances
 from .loci import DEFAULT_RESOLUTION, distance_field, ternary_embed
 from .metrics import FAMILIES, POWER_FAMILIES, MetricSpec
-from .simplex import barycentre, power_transform
+from .simplex import _checked_power_transform, barycentre
 
 __all__ = ["main", "build_parser", "parse_grid"]
 
@@ -155,7 +155,9 @@ def _cmd_dist(args) -> int:
 
 def _cmd_transform(args) -> int:
     data, meta = _load_dataset(args)
-    transformed = power_transform(data.rows, args.alpha)
+    transformed = _checked_power_transform(
+        data.rows, args.alpha, "dataset", data.feature_names
+    )
     ternary = data.n_parts == 3
     config = dict(meta, alpha=args.alpha, format=args.format)
     labels = np.asarray(data.classes, dtype=object)[data.labels]

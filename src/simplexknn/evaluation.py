@@ -12,9 +12,9 @@ platform independent.
 
 The grid is evaluated by one shared-split engine. Per alpha, the rows are
 validated and power-transformed once, and the dataset is measured against
-itself in tiles, each distance computed once (see knn). Each row keeps only
+itself in strips, each distance computed once (see knn). Each row keeps only
 its first max(ks) + test_total columns in (distance, row index) order, so
-memory is O(n * (max(ks) + test_total)) plus one tile, never n x n. A
+memory is O(n * (max(ks) + test_total)) plus one strip, never n x n. A
 replication removes test_total columns, the row itself among them, so each
 test row's first max(ks) training columns lie in that prefix; filtering it
 down to the training columns gives exactly the order of a per-replication
@@ -258,31 +258,42 @@ def _replication_stats(data, indices, dists, tests, ks):
     replications keeps its (rows, columns) arrays within knn._TILE_FLOATS.
     Returns accuracy (K, B) in percent, sensitivity and specificity (K, C, B).
     """
-    n_classes, kmax, n_ks = data.n_classes, max(ks), len(ks)
-    (B, test_n), n = tests.shape, len(data)
+    B, test_n = tests.shape
     per_block = max(1, knn._TILE_FLOATS // (test_n * indices.shape[1]))
-    acc = np.empty((n_ks, B))
-    rates = np.empty((2, n_ks, n_classes, B))  # sensitivity, specificity
+    acc = np.empty((len(ks), B))
+    rates = np.empty((2, len(ks), data.n_classes, B))  # sensitivity, specificity
     for b0 in range(0, B, per_block):
-        block = tests[b0 : b0 + per_block]
-        reps, rows = len(block), block.ravel()
-        rep = np.arange(rows.size) // test_n  # each test row's replication
-        train = np.ones((reps, n), dtype=bool)
-        train[rep, rows] = False
-        ranked = indices[rows]
-        # every row keeps its first kmax training columns, in global order
-        keep = train.reshape(-1)[ranked + (rep * n)[:, None]]
-        keep &= np.cumsum(keep, axis=1) <= kmax
-        sel = ranked[keep].reshape(rows.size, kmax)
-        ranked_dists = dists[rows][keep].reshape(rows.size, kmax)
-        winners, _ = _vote(ranked_dists.T, data.labels[sel].T, ks, n_classes)
-        cell = (np.arange(n_ks)[:, None] * reps + rep) * n_classes + data.labels[rows]
-        flat = (cell * n_classes + winners).ravel()
-        cms = np.bincount(flat, minlength=n_ks * reps * n_classes**2)
-        cms = cms.reshape(n_ks, reps, n_classes, n_classes)
-        acc[:, b0 : b0 + reps] = 100.0 * (np.trace(cms, axis1=2, axis2=3) / test_n)
-        rates[..., b0 : b0 + reps] = np.swapaxes(sensitivity_specificity(cms), 2, 3)
+        reps = slice(b0, b0 + per_block)
+        out = acc[:, reps], rates[..., reps]
+        _score_block(data, indices, dists, tests[reps], ks, *out)
     return acc, rates[0], rates[1]
+
+
+def _score_block(data, indices, dists, tests, ks, acc, rates):
+    """Fill acc (K, reps) and rates (2, K, C, reps) for one block of replications.
+
+    A function of its own, so every work array of a block is freed before
+    the next block is built.
+    """
+    n_classes, kmax, n_ks = data.n_classes, max(ks), len(ks)
+    (reps, test_n), n = tests.shape, len(data)
+    rows = tests.ravel()
+    rep = np.arange(rows.size) // test_n  # each test row's replication
+    train = np.ones((reps, n), dtype=bool)
+    train[rep, rows] = False
+    ranked = indices[rows]
+    # every row keeps its first kmax training columns, in global order
+    keep = train.reshape(-1)[ranked + (rep * n)[:, None]]
+    keep &= np.cumsum(keep, axis=1) <= kmax
+    sel = ranked[keep].reshape(rows.size, kmax)
+    ranked_dists = dists[rows][keep].reshape(rows.size, kmax)
+    winners, _ = _vote(ranked_dists.T, data.labels[sel].T, ks, n_classes)
+    cell = (np.arange(n_ks)[:, None] * reps + rep) * n_classes + data.labels[rows]
+    flat = (cell * n_classes + winners).ravel()
+    cms = np.bincount(flat, minlength=n_ks * reps * n_classes**2)
+    cms = cms.reshape(n_ks, reps, n_classes, n_classes)
+    acc[...] = 100.0 * (np.trace(cms, axis1=2, axis2=3) / test_n)
+    rates[...] = np.swapaxes(sensitivity_specificity(cms), 2, 3)
 
 
 def _mean_sd(values: np.ndarray) -> tuple[list, list]:
@@ -387,8 +398,8 @@ def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
 
     Row i is scored against the dataset minus row i: ranking it with the
     diagonal excluded preserves the (distance, row index) ordering of an
-    explicit per-row holdout. Distances are streamed in tiles, each pair
-    computed once, so memory is O(n * k) plus one tile. Deterministic.
+    explicit per-row holdout. Distances are streamed in strips, each pair
+    computed once, so memory is O(n * k) plus one strip. Deterministic.
     """
     k = config.k
     prepared = config.spec.prepare(data.rows, "dataset", data.feature_names)

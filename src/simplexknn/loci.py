@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import DimensionMismatch
 from .metrics import MetricSpec
-from .simplex import power_transform
+from .simplex import _checked_power_transform
 
 __all__ = [
     "ternary_embed",
@@ -50,7 +50,8 @@ def transform_dataset(data: LabeledDataset, alpha: float) -> np.ndarray:
         raise DimensionMismatch(
             f"ternary transform needs 3-part data, got D={data.n_parts}"
         )
-    return ternary_embed(power_transform(data.rows, alpha))
+    rows = _checked_power_transform(data.rows, alpha, "dataset", data.feature_names)
+    return ternary_embed(rows)
 
 
 @dataclass(frozen=True, eq=False)

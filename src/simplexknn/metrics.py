@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroInAitchison, ZeroUnderNegativePower
-from .simplex import _as_composition, _power_transform, _validated
+from .errors import DimensionMismatch, ZeroInAitchison
+from .simplex import _as_composition, _power_transform, _power_zero_rule, _validated
 
 __all__ = [
     "FAMILIES",
@@ -103,13 +103,10 @@ class MetricSpec:
         the offending row of stacked input as "{role} row i" and the part
         by column name when names (one per column) is given, else by index.
         """
-        zero = None
-        if self.needs_positive:
-            zero = (
-                (ZeroInAitchison, "is zero")
-                if self.family == "aitchison"
-                else (ZeroUnderNegativePower, f"is zero under alpha={self.alpha:g}")
-            )
+        if self.family == "aitchison":
+            zero = ZeroInAitchison, "is zero"
+        else:
+            zero = _power_zero_rule(self.alpha)  # alpha is 1 outside POWER_FAMILIES
         rows = _validated(rows, role, names, zero)
         if self.alpha == 1.0:
             return _as_composition(rows)
@@ -210,10 +207,10 @@ def _part_sum(t):
 
 
 # Kernels take rows parts-first: the parts run along axis 0, and the other
-# axes broadcast, so a (D, h, 1) block against (D, 1, w) columns gives an
-# (h, w) tile and every elementwise pass runs along w. Each reduces with
-# _part_sum, elementwise operations being exact, so a kernel's bits do not
-# depend on the layout. Temporaries are reused in place.
+# axes broadcast, so a (D, h, 1) block, or knn's (D, h, w) one, against (D,
+# 1, w) columns gives an (h, w) tile. Each reduces with _part_sum,
+# elementwise operations being exact, so a kernel's bits do not depend on
+# the layout. Temporaries are reused in place.
 
 
 _TINY = np.finfo(float).tiny

@@ -117,10 +117,21 @@ def power_transform(x, alpha: float) -> np.ndarray:
     scale may map to exactly 0, e.g. alpha=1e6 maps [.5, .5-1e-12, 1e-12]
     to [.5000005, .4999995, 0.].
     """
+    return _checked_power_transform(x, alpha)
+
+
+def _checked_power_transform(x, alpha: float, role="composition", names=None):
+    """power_transform, naming a fault's row and part as _validated does."""
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    zero = (ZeroUnderNegativePower, f"is zero under alpha={alpha:g}")
-    return _power_transform(_validated(x, zero=zero if alpha < 0 else None), alpha)
+    return _power_transform(_validated(x, role, names, _power_zero_rule(alpha)), alpha)
+
+
+def _power_zero_rule(alpha: float):
+    """_validated's zero rule for power alpha: zero parts fail only at alpha < 0."""
+    if alpha < 0:
+        return ZeroUnderNegativePower, f"is zero under alpha={alpha:g}"
+    return None
 
 
 def _power_transform(x: np.ndarray, alpha: float) -> np.ndarray:

@@ -320,6 +320,19 @@ class TestTransformCommand:
         parts = np.array([[float(v) for v in row[:3]] for row in rows[1:]])
         np.testing.assert_allclose(parts.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_zero_part_under_negative_alpha_names_the_column(self, tmp_path, capsys):
+        src = tmp_path / "tern.csv"
+        src.write_text("Na,Mg,Ba,kind\n0.2,0.3,0.5,x\n0.5,0.5,0,y\n")
+        out = tmp_path / "tr.csv"
+        rc = main(
+            ["transform", "--input", str(src), "--label-column", "kind",
+             "--alpha=-0.5", "--output", str(out)]
+        )
+        assert rc == 1
+        err = "error: dataset row 1, column Ba is zero under alpha=-0.5\n"
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
     def test_four_part_data_has_no_plot_columns(self, data_csv, tmp_path):
         out = tmp_path / "tr.csv"
         rc = main(

@@ -17,7 +17,7 @@ from simplexknn import (
     sensitivity_specificity,
     stratified_holdout,
 )
-from simplexknn import knn
+from simplexknn import evaluation, knn
 
 from conftest import compositional_blobs, sparse_compositions
 from test_engine import lattice_dataset
@@ -388,20 +388,35 @@ class TestReplicationBlocks:
         assert reports[0] == reports[1] == reports[2]
 
     def test_memory_does_not_grow_with_the_replications(self):
-        # B = 10 already fills two blocks, so B = 200 adds only its test rows
-        # and per-replication statistics, not larger work arrays
-        n, ks, test_total = 120, (1, 60), 30
-        assert knn._TILE_FLOATS // (test_total * (max(ks) + test_total)) == 5
+        # one block of 11 replications, two blocks and twenty: each block's
+        # work arrays are freed before the next is built, so the traced peak
+        # grows by the per-replication outputs only, plus 8 KiB for Python
+        # objects and numpy's cache of small buffers (a block's arrays kept
+        # alive into the next block add about 170 KB here)
+        n, ks, test_total = 214, tuple(range(1, 16)), 30
+        per_block = knn._TILE_FLOATS // (test_total * (max(ks) + test_total))
+        assert per_block == 11
         rng = np.random.default_rng(43)
         data = LabeledDataset(
-            rng.dirichlet(np.ones(4), size=n), np.arange(n) % 3, ("a", "b", "c")
+            rng.dirichlet(np.ones(8), size=n), np.arange(n) % 6, tuple("abcdef")
         )
-        peaks = []
-        for B in (10, 200):
+        spec = MetricSpec("esov", 0.5)
+        rows = spec.prepare(data.rows)
+        indices, dists = knn._nearest(rows, rows, spec, max(ks) + test_total)
+        alloc = allocate_test_counts(data.class_counts(), test_total)
+        tests = np.stack(
+            [evaluation._test_rows(data, alloc, 9, b) for b in range(20 * per_block)]
+        )
+        peaks, sizes = [], []
+        for B in (per_block, 2 * per_block, 20 * per_block):
             tracemalloc.start()
             try:
-                grid_search(data, [0.5], ks, "esov", B, test_total, seed=9)
+                stats = evaluation._replication_stats(
+                    data, indices, dists, tests[:B], ks
+                )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= knn._TILE_FLOATS * np.dtype(float).itemsize
+            sizes.append(sum(a.nbytes for a in stats))
+        for peak, size in zip(peaks[1:], sizes[1:]):
+            assert peak - peaks[0] <= size - sizes[0] + 8 * 1024

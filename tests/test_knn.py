@@ -100,6 +100,28 @@ class TestPairwiseDistances:
         tiled = pairwise_distances(data, data.rows, spec)
         assert np.array_equal(full, tiled.view(np.int64))
 
+    @pytest.mark.parametrize(
+        "spec",
+        [MetricSpec(f, a) for f in ("esov", "tc") for a in (-0.5, 0.0, 0.5, 1.0)]
+        + [MetricSpec(f) for f in ("aitchison", "hellinger", "angular")],
+        ids=repr,
+    )
+    def test_several_strips_per_row_block(self, monkeypatch, spec):
+        # 5-row blocks, 7-column tiles and 63-column strips: 150 columns take
+        # three strips per row block, the last one narrower, and 38 query rows
+        # leave a shorter last block; every strip reuses one buffer, so an
+        # entry a strip failed to write would keep the last strip's value
+        monkeypatch.setattr(knn, "_BLOCK_ROWS", 5)
+        monkeypatch.setattr(knn, "_TILE_FLOATS", 5 * 7 * 9)
+        rng = np.random.default_rng(11)
+        make = positive_compositions if spec.needs_positive else sparse_compositions
+        data = LabeledDataset(make(rng, 150, 9), np.arange(150) % 3, ("a", "b", "c"))
+        queries = data.rows[::-4]  # not train itself, so no strip is mirrored
+        x, q = spec.prepare(data.rows), spec.prepare(queries)
+        full = parts_last.kernel(spec, q[:, None], x[None]).view(np.int64)
+        got = pairwise_distances(data, queries, spec)
+        assert np.array_equal(full, got.view(np.int64))
+
 
 class TestNeighborConfig:
     def test_k_must_be_a_positive_integer(self):
@@ -329,6 +351,47 @@ def test_nearest_matches_full_stable_argsort(monkeypatch, spec, exclude_self):
             assert np.array_equal(dists.view(np.int64), expected.view(np.int64))
     with pytest.raises(InsufficientTraining):
         _nearest(train, train, spec, n + 1 - exclude_self, exclude_self)
+
+
+def _reversed_strips(tiles):
+    """tiles with each item copied (the strip buffer is reused), yielded last first."""
+
+    def reversed_tiles(*args):
+        return reversed([(r0, c0, d.copy()) for r0, c0, d in tiles(*args)])
+
+    return reversed_tiles
+
+
+@pytest.mark.parametrize(
+    "spec", [MetricSpec("tc"), MetricSpec("esov", 0.0), MetricSpec("angular")], ids=repr
+)
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, exclude_self):
+    # lattice points plus a duplicated block, so distances tie everywhere,
+    # also across the k-th. 7-row blocks, 6-column tiles and 18-column strips
+    # on 60 rows: strips do not divide n, the last strip of the first row
+    # block is exactly one tile, and strips are mirrored with the diagonal
+    # masked. Reversed, a row meets its higher columns first, so a tied
+    # candidate with a lower row index arrives after its rival.
+    monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 6 * 3)
+    data = lattice_dataset(8, interior=False)
+    train = spec.prepare(data.rows)
+    n = len(train)
+    assert (n, n % 18) == (60, 6)
+    monkeypatch.setattr(knn, "_tiles", _reversed_strips(knn._tiles))
+    # train itself; equal values in another array; one query row
+    others = [] if exclude_self else [train[::-3].copy(), train[5:6].copy()]
+    for q in [train, *others]:
+        full = parts_last.kernel(spec, q[:, None], train[None])  # one unblocked call
+        if exclude_self:
+            np.fill_diagonal(full, np.inf)
+        order = np.argsort(full, axis=1, kind="stable")
+        for kmax in (1, 3, 9, n - 1):
+            indices, dists = _nearest(q, train, spec, kmax, exclude_self)
+            assert np.array_equal(indices, order[:, :kmax])
+            expected = np.take_along_axis(full, order[:, :kmax], axis=1)
+            assert np.array_equal(dists.view(np.int64), expected.view(np.int64))
 
 
 class TestMembershipScores:

@@ -90,9 +90,10 @@ class TestTransformDataset:
         data = tiny_ternary_dataset()
         assert len(transform_dataset(data, -1.0)) == 12
         with_zero = LabeledDataset(
-            np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), [0, 1], ("u", "v")
+            np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), [0, 1], ("u", "v"), "abc"
         )
-        with pytest.raises(ZeroUnderNegativePower):
+        msg = "^dataset row 0, column c is zero under alpha=-1$"
+        with pytest.raises(ZeroUnderNegativePower, match=msg):
             transform_dataset(with_zero, -1.0)
 
     def test_needs_three_parts(self):
