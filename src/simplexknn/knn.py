@@ -15,27 +15,35 @@ reproducible across runs, platforms and thread schedules:
     neighbour-major, so every query's first k form one prefix, and decides
     each k over class-first (C, m) counts and distance sums.
 
-Distances are computed in strips: one block of at most _BLOCK_ROWS query
-rows against a run of whole kernel tiles of columns. A kernel call measures
-one tile, sized by a float budget: rows * columns * parts <= _TILE_FLOATS,
-so every kernel temporary (one float per part of each pair) stays under 128
-KiB; a strip holds as many tiles as fit in _TILE_FLOATS distances. The rows
-go to the kernels parts-first: each block of several query rows is
-broadcast once into a cached (D, rows, columns) buffer, and every tile of
-its strips is that buffer against a (D, 1, columns) view of the training
-rows, so each elementwise pass runs along whole tiles. The strips are written into one
-buffer per call, so each is valid until the next. A dataset against itself
-(LOOCV, tune, dist) computes only the strips from each diagonal block
-rightwards and mirrors them, as every kernel is bitwise symmetric. Each row
-keeps a running set of its k best (distance, row index) keys and its k-th
+Distances are computed in strips: one block of query rows against a run of
+whole kernel tiles of columns. A kernel call measures one tile, sized by a
+float budget: rows * columns * parts <= _TILE_FLOATS, so every kernel
+temporary (one float per part of each pair) stays under 128 KiB; a strip
+holds as many tiles as fit in _TILE_FLOATS distances. The rows go to the
+kernels parts-first: each block of several rows is broadcast once into a
+cached (D, rows, columns) buffer, and every tile of its strips is that
+buffer against a (D, 1, columns) view of the training rows, so each
+elementwise pass runs along whole tiles. The strips are written into one
+buffer per call, so each is valid until the next.
+
+Queries (classify, membership_scores) are measured against every training
+row. A dataset against itself (LOOCV, tune, dist) is walked in square
+blocks, each unordered pair of blocks computed at most once and mirrored
+into both blocks' rows, as every kernel is bitwise symmetric. When ranking
+neighbours the walk prunes: rows are ordered by their distances to a few
+pivots, and a block of columns whose pivot bound (the triangle inequality,
+with a slack for the kernels' rounding) exceeds the running k-th distance
+of every row in a row block is never computed (see _walk). Each row keeps
+a running set of its k best (distance, row index) keys and its k-th
 distance; a strip is merged by one partition into the rows whose smallest
 distance in it is at or below that distance, and the sets are sorted once
-at the end. So memory is O(n * k) plus one strip and a few buffers of its
-size, independent of n.
+at the end. So memory is O(n * (k + pivots)) plus one strip, a few buffers
+of its size and one bit per pair of blocks.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +58,17 @@ __all__ = [
     "classify",
     "membership_scores",
 ]
+
+
+def _debug(message: str, *args) -> None:
+    """A DEBUG record on the "simplexknn" logger, where logging is in use.
+
+    Where nothing has imported logging, no handler can take the record, so
+    the module is not imported for it: that would add 0.5 MiB to every run.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("simplexknn").debug(message, *args)
 
 
 def _positive_k(k) -> int:
@@ -73,14 +92,25 @@ class NeighborConfig:
 
 # One kernel call measures a tile of at most _BLOCK_ROWS query rows, with at
 # most _TILE_FLOATS floats in each (D, rows, columns) kernel temporary: 64 x
-# 30 for LOOCV and tune on 8 parts, one row by 1,920 columns for classify.
-# 120 KiB keeps each temporary below glibc's 128 KiB mmap threshold; at 256
-# KiB every tile's temporaries were mapped, or trimmed off the heap, and
-# faulted in afresh. A strip holds as many whole tiles as fit in
-# _TILE_FLOATS distances: 64 x 240, and 1 x 15,360 for classify. Memory per
-# call is fixed, whatever the number of rows.
+# 30 on 8 parts, one row by 1,920 columns for classify. 120 KiB keeps each
+# temporary below glibc's 128 KiB mmap threshold; at 256 KiB every tile's
+# temporaries were mapped, or trimmed off the heap, and faulted in afresh. A
+# strip holds as many whole tiles as fit in _TILE_FLOATS distances: 64 x
+# 240, and 1 x 15,360 for classify. A pruned walk of a dataset against
+# itself takes blocks of _WALK_ROWS rows (40 x 40 tiles on 8 parts, 100
+# KiB per temporary) ordered by their distances to _PIVOTS pivots; on the
+# 3,000 glass-shaped rows of the benchmark, 4 to 8 pivots ranked equally
+# fast. Memory per call is fixed, whatever the number of rows.
 _BLOCK_ROWS = 64
 _TILE_FLOATS = 15 * 1024
+_WALK_ROWS = 40
+_PIVOTS = 6
+# Ranking a dataset against itself prunes from _PRUNE_ROWS rows, with kmax
+# at most a _PRUNE_SHARE-th of them. Below either, the pivots and bounds did
+# not pay on glass-shaped rows: tc, the cheapest kernel, ranked up to 40%
+# slower at 500 to 700 rows or with kmax at a tenth of 1,000 to 3,000 rows.
+_PRUNE_ROWS = 1000
+_PRUNE_SHARE = 15
 
 
 def _tiles(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
@@ -94,18 +124,12 @@ def _tiles(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
     a (D, 1, columns) view. The kernels' tiles are copied into one strip
     buffer per call, so an item is valid only until the next one is asked
     for; copy it to keep it. The items cover the (m, n) matrix exactly
-    once. When queries is train, each pair is computed once: row block
-    [r0, r1) is measured against the columns from r0 on, and the part of
-    each such strip past r1 is yielded again, transposed, for the rows it
-    covers. All kernels are bitwise symmetric, so the mirror equals
-    measuring those rows; the diagonal blocks are computed in full
-    (angular has d(x, x) > 0). Each entry is computed exactly as an
-    unblocked kernel call would.
+    once, and each entry is computed exactly as an unblocked kernel call
+    would. A dataset against itself is measured by _walk instead.
     """
     kernel = spec.kernel
-    same = queries is train
     q = np.ascontiguousarray(queries.T)
-    t = q if same else np.ascontiguousarray(train.T)
+    t = np.ascontiguousarray(train.T)
     (parts, m), n = q.shape, t.shape[1]
     height = max(1, min(_BLOCK_ROWS, _TILE_FLOATS // parts, m))
     width = max(1, _TILE_FLOATS // (parts * height))
@@ -118,7 +142,7 @@ def _tiles(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
         r1 = min(r0 + height, m)
         h = r1 - r0
         block[:, :h] = q[:, r0:r1, None]
-        for s0 in range(r0 if same else 0, n, span):
+        for s0 in range(0, n, span):
             s1 = min(s0 + span, n)
             d = strip[:h, : s1 - s0]
             for c0 in range(s0, s1, width):
@@ -126,9 +150,209 @@ def _tiles(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
                 tile = kernel(block[:, :h, : c1 - c0], t[:, None, c0:c1])
                 d[:, c0 - s0 : c1 - s0] = tile
             yield r0, s0, d
-            if same and s1 > r1:
-                skip = max(r1 - s0, 0)
-                yield s0 + skip, r0, d[:, skip:].T
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """argsort(values, kind="stable"), by the complex sort _nearest already runs.
+
+    A float sort of its own would fault in another 0.1 to 0.2 MiB of
+    numpy's sorting code in every process that walks.
+    """
+    keys = values + 1j * np.arange(len(values))
+    keys.sort()
+    return keys.imag.astype(np.intp)
+
+
+def _distances_to(t: np.ndarray, kernel, p: int) -> np.ndarray:
+    """Distances from column p of the parts-first rows t to every column."""
+    step = max(1, _TILE_FLOATS // t.shape[0])
+    out = np.empty(t.shape[1])
+    for c0 in range(0, t.shape[1], step):
+        out[c0 : c0 + step] = kernel(t[:, c0 : c0 + step], t[:, p, None])
+    return out
+
+
+def _pivot_order(t: np.ndarray, kernel, size: int, pivots: int):
+    """(order, table): a walk order of t's columns and their pivot distances.
+
+    The pivots are picked farthest first: the row farthest from row 0,
+    then each time the row farthest from row 0 and the pivots so far (the
+    first such row on ties). table[i] holds the distances of row order[i]
+    to the pivots. The order is a kd split of those rows: a range of more
+    than one block of size rows is sorted (stably) by the pivot distance
+    that spreads it most and cut at a block boundary near its middle, so
+    each block holds rows close in every pivot distance.
+    """
+    n = t.shape[1]
+    order = np.arange(n)
+    if not pivots:
+        return order, None
+    table = np.empty((n, pivots))
+    far = _distances_to(t, kernel, 0)
+    for i in range(pivots):
+        table[:, i] = _distances_to(t, kernel, int(far.argmax()))
+        np.minimum(far, table[:, i], out=far)
+    todo = [(0, n)]
+    while todo:
+        lo, hi = todo.pop()
+        blocks = -(-(hi - lo) // size)
+        if blocks < 2:
+            continue
+        seg = order[lo:hi]
+        points = table[seg]
+        spread = points.max(axis=0) - points.min(axis=0)
+        order[lo:hi] = seg[_stable_order(points[:, spread.argmax()])]
+        mid = lo + blocks // 2 * size
+        todo += [(lo, mid), (mid, hi)]
+    return order, table[order]
+
+
+def _walk(rows: np.ndarray, spec: MetricSpec, kth=None, exclude_self=False):
+    """(order, items): rows against themselves, each pair of blocks at most once.
+
+    rows is prepared by spec.prepare. The walk takes the rows in order, a
+    permutation of their indices (None: their own order), cut into blocks
+    of consecutive positions. items yields (r, c, d): d[i, j] is the
+    distance between the rows at positions r (a slice or an index array)
+    and the rows of indices c. Each row block is broadcast once to the
+    tile width and measured against strips of at most _TILE_FLOATS
+    distances, by kernel tiles within the float budget; then the part of
+    a strip that lies past the row block in the walk is yielded again,
+    transposed, for its rows. All kernels are bitwise symmetric, so that
+    mirror equals measuring them; a diagonal block is computed in full
+    (angular has d(x, x) > 0), with its diagonal set to inf under
+    exclude_self. An item is valid until the next.
+
+    Without kth, the rows keep their order, in blocks of _BLOCK_ROWS, and
+    each row block is measured against the columns from its own on. With
+    kth, the running k-th distance of the row at each position, which the
+    caller updates between items, the walk prunes by LAESA's pivot
+    elimination (Mico, Oncina & Vidal 1994), per tile. For any pivot p,
+    d(x, w) >= |d(x, p) - d(w, p)| - slack (MetricSpec.triangle_slack), so
+    the largest gap, over the pivots, between x's pivot distance and a
+    block's interval of them, less the slack, bounds the distance from x to
+    every row of that block from below; the least such bound over a row
+    block's rows bounds the pair of blocks. Rows are ordered by
+    _pivot_order into blocks of _WALK_ROWS. Each row block visits the
+    blocks not yet measured with it in increasing bound, its own first, a
+    strip of whole blocks at a time, and stops once the bound exceeds the
+    largest k-th distance of its rows; a block whose bound for every row
+    exceeds that row's k-th distance is skipped. Either way no row can gain
+    a neighbour there: a distance equal to a k-th distance may still enter
+    with a lower row index, but a larger one cannot. Earlier blocks have
+    stopped for good, so a strip is mirrored only into later ones. Angular
+    has no slack and visits every pair without pivots.
+
+    Memory is O(n * pivots) for the order and the bounds, one bit per pair
+    of blocks, and one strip with its buffers. When done, the walk logs
+    the block pairs computed and skipped, and the pivots, at DEBUG.
+    """
+    kernel = spec.kernel
+    t = np.ascontiguousarray(rows.T)
+    parts, n = t.shape
+    slack = None if kth is None else spec.triangle_slack(parts)
+    pivots = 0 if slack is None else _PIVOTS
+    size = _WALK_ROWS if pivots else _BLOCK_ROWS
+    width = max(1, min(size, _TILE_FLOATS // (parts * size)))
+    span = max(size, _TILE_FLOATS // size)
+    order, table = _pivot_order(t, kernel, size, pivots)
+    starts = list(range(0, n, size))
+    stops = starts[1:] + [n]
+    blocks = len(starts)
+    if pivots:
+        t = t[:, order]
+        lo = np.minimum.reduceat(table, starts).T[:, None, :].copy()
+        hi = np.maximum.reduceat(table, starts).T[:, None, :].copy()
+    # measured[c] has bit a set when block a < c measured the pair (a, c)
+    measured = np.zeros((blocks, (blocks + 7) // 8), dtype=np.uint8)
+    computed = 0
+
+    def strips(a):
+        """Runs of positions to measure row block a against, one list per strip."""
+        nonlocal computed
+        a0, a1 = starts[a], stops[a]
+        if not pivots:
+            computed += blocks - a
+            for s0 in range(a0, n, span):
+                yield [(s0, min(s0 + span, n))]
+            return
+        # each row's bound to each block, less the slack; a block's bound is
+        # the least of its rows'
+        own = table[a0:a1].T[:, :, None]
+        gap = np.maximum(lo[0] - own[0], own[0] - hi[0])
+        for p in range(1, pivots):
+            np.maximum(gap, lo[p] - own[p], out=gap)
+            np.maximum(gap, own[p] - hi[p], out=gap)
+        gap -= slack
+        bound = gap.min(axis=0)
+        bound[a] = -np.inf
+        todo = _stable_order(bound)
+        done = np.unpackbits(measured[a], count=blocks, bitorder="little")
+        todo = todo[done[todo] == 0].tolist()
+        bound = bound.tolist()
+        i = 0
+        while i < len(todo):
+            # the next blocks that fit in one strip and may hold a neighbour
+            limit = kth[a0:a1].max()
+            j, w = i, 0
+            while j < len(todo) and bound[todo[j]] <= limit:
+                w += stops[todo[j]] - starts[todo[j]]
+                if j > i and w > span:
+                    break
+                j += 1
+            if j == i:
+                return
+            # sorted, so the blocks to mirror (b > a) come last
+            batch = np.array(sorted(todo[i:j]))
+            i = j
+            # keep the blocks some row may use
+            batch = batch[(gap[:, batch] <= kth[a0:a1, None]).any(axis=0)]
+            computed += batch.size
+            measured[batch[batch > a], a >> 3] |= np.uint8(1 << (a & 7))
+            runs = []  # adjacent blocks as one run
+            for b in batch.tolist():
+                if runs and runs[-1][1] == starts[b]:
+                    runs[-1][1] = stops[b]
+                else:
+                    runs.append([starts[b], stops[b]])
+            if runs:
+                yield runs
+
+    def items():
+        block = np.empty((parts, size, width))
+        strip = np.empty((size, min(span, n)))
+        for a in range(blocks):
+            a0, a1 = starts[a], stops[a]
+            h = a1 - a0
+            block[:, :h] = t[:, a0:a1, None]
+            for runs in strips(a):
+                w0 = 0
+                for b0, b1 in runs:
+                    for c0 in range(b0, b1, width):
+                        c1 = min(c0 + width, b1)
+                        tile = kernel(block[:, :h, : c1 - c0], t[:, None, c0:c1])
+                        strip[:h, w0 + c0 - b0 : w0 + c1 - b0] = tile
+                    if exclude_self and b0 <= a0 < b1:
+                        strip[np.arange(h), w0 + a0 - b0 + np.arange(h)] = np.inf
+                    w0 += b1 - b0
+                d = strip[:h, :w0]
+                cols = np.concatenate([order[b0:b1] for b0, b1 in runs])
+                yield slice(a0, a1), cols, d
+                later = [(max(b0, a1), b1) for b0, b1 in runs if b1 > a1]
+                if later:
+                    mirror = sum(b1 - b0 for b0, b1 in later)
+                    if len(later) == 1:
+                        r = slice(*later[0])
+                    else:
+                        r = np.concatenate([np.arange(b0, b1) for b0, b1 in later])
+                    yield r, order[a0:a1], d[:, w0 - mirror :].T
+        total = blocks * (blocks + 1) // 2
+        _debug(
+            "self walk: %d of %d block pairs computed, %d skipped, %d pivots",
+            computed, total, total - computed, pivots,
+        )
+
+    return (order if pivots else None), items()
 
 
 def _nearest(
@@ -137,9 +361,11 @@ def _nearest(
     """Each query row's first kmax training columns by (distance, row index).
 
     Rows are prepared by spec.prepare; pass the same array as queries and
-    train to measure a dataset against itself, so each pair is computed
-    once (see _tiles). With exclude_self, query row i is training row i and
-    never its own neighbour (the LOOCV diagonal, masked inside its strip).
+    train to measure a dataset against itself by _walk, so each pair of
+    blocks is computed at most once, and pruned where that pays (from
+    _PRUNE_ROWS rows, kmax at most a _PRUNE_SHARE-th of them). With
+    exclude_self (for queries that are train), row i is never its own
+    neighbour (the LOOCV diagonal, masked inside its tile).
 
     Each candidate is one complex key, distance + 1j * row index. numpy
     orders complex numbers by real part, then imaginary part, so the keys
@@ -151,8 +377,9 @@ def _nearest(
     rows whose smallest distance in it is at or below that distance: a
     larger one cannot enter, and an equal one may, with a lower row index.
     So the result does not depend on the order of the strips; the kept keys
-    are sorted once at the end. Returns (indices, distances), each (m,
-    kmax); memory is O(m * kmax) plus one strip and one key array.
+    are sorted once at the end, and a walk's positions put back in the
+    rows' order. Returns (indices, distances), each (m, kmax); memory is
+    O(m * kmax) plus one strip and one key array (and the walk's own).
     """
     n = train.shape[0]
     if kmax > n - exclude_self:
@@ -161,33 +388,42 @@ def _nearest(
         )
     best = np.full((queries.shape[0], kmax), complex(np.inf, n))
     kth = np.full(queries.shape[0], np.inf)
+    if queries is train:
+        prune = n >= _PRUNE_ROWS and kmax * _PRUNE_SHARE <= n
+        order, items = _walk(train, spec, kth if prune else None, exclude_self)
+    else:
+        order, items = None, (
+            (slice(r0, r0 + d.shape[0]), np.arange(c0, c0 + d.shape[1]), d)
+            for r0, c0, d in _tiles(queries, train, spec)
+        )
     # the keys of every merge, grown as needed: a strip's keys pass 128 KiB,
     # and a fresh array per merge is faulted in again (17.6k against 11.6k
     # minor faults in an esov roc on 3,000 rows)
     buf = np.empty(0, dtype=complex)
-    for r0, c0, d in _tiles(queries, train, spec):
+    for rows, cols, d in items:
         h, w = d.shape
-        if exclude_self:
-            diag = np.arange(max(r0, c0), min(r0 + h, c0 + w))
-            d[diag - r0, diag - c0] = np.inf
-        kept, near = best[r0 : r0 + h], kth[r0 : r0 + h]
-        rows = np.flatnonzero(d.min(axis=1) <= near)
-        count = rows.size
+        pick = np.flatnonzero(d.min(axis=1) <= kth[rows])
+        count = pick.size
         if count == 0:
             continue
-        if count == h:
-            rows = slice(None)  # every row: views, not gathers
+        if count < h:  # gathers; else views
+            rows = rows[pick] if isinstance(rows, np.ndarray) else pick + rows.start
+            d = d[pick]
         if buf.size < h * (kmax + w):
             buf = np.empty(h * (kmax + w), dtype=complex)
         keys = buf[: count * (kmax + w)].reshape(count, kmax + w)
-        keys.real[:, kmax:] = d[rows]  # a copy; d + 1j * index would turn -0.0 into 0.0
-        keys.imag[:, kmax:] = np.arange(c0, c0 + w)
-        keys[:, :kmax] = kept[rows]
+        keys.real[:, kmax:] = d  # a copy; d + 1j * index would turn -0.0 into 0.0
+        keys.imag[:, kmax:] = cols
+        keys[:, :kmax] = best[rows]
         keys.partition(kmax - 1, axis=1)
-        kept[rows] = keys[:, :kmax]
-        near[rows] = keys[:, kmax - 1].real
+        best[rows] = keys[:, :kmax]
+        kth[rows] = keys[:, kmax - 1].real
     best.sort(axis=1)
-    return best.imag.astype(np.intp), best.real.copy()
+    rows = slice(None) if order is None else order  # the walk's positions
+    indices, dists = np.empty(best.shape, dtype=np.intp), np.empty(best.shape)
+    indices[rows] = best.imag
+    dists[rows] = best.real
+    return indices, dists
 
 
 def _training_rows(train: LabeledDataset, spec: MetricSpec) -> np.ndarray:
@@ -240,8 +476,13 @@ def pairwise_distances(
     """
     prepared, train_rows = _prepared(train, queries, spec)
     out = np.empty((prepared.shape[0], train_rows.shape[0]))
-    for r0, c0, d in _tiles(prepared, train_rows, spec):
-        out[r0 : r0 + d.shape[0], c0 : c0 + d.shape[1]] = d
+    if prepared is train_rows:
+        # without kth the walk keeps the rows' order, and its rows are slices
+        for rows, cols, d in _walk(train_rows, spec)[1]:
+            out[rows, cols] = d
+    else:
+        for r0, c0, d in _tiles(prepared, train_rows, spec):
+            out[r0 : r0 + d.shape[0], c0 : c0 + d.shape[1]] = d
     return out[0] if np.ndim(queries) == 1 else out
 
 

@@ -21,21 +21,30 @@ simplex, as ingestion does, and rejects negative parts (NegativeComponent),
 non-finite parts, all-zero rows (DegenerateInput) and zero parts outside the
 metric's domain. The kernels in _KERNELS are plain arithmetic that assume
 rows prepared so, with the parts on the first axis: distance moves them
-there, and knn hands over tiles built that way. Every sum over the parts
-runs through _part_sum, which spells out numpy's pairwise order for a sum
-over the last axis; so the results are those of the plain parts-last
-formulas, bit for bit, and the mixed-magnitude terms of the power-
-transformed variants stay well conditioned.
+there, and knn hands over tiles built that way. prepare also applies each
+family's per-row transform (square roots for hellinger, centred log-ratio
+images for aitchison), so those kernels are plain L2 distances. Every sum
+over the parts runs through _part_sum, which spells out numpy's pairwise
+order for a sum over the last axis; so the results are those of the plain
+parts-last formulas, bit for bit, and the mixed-magnitude terms of the
+power-transformed variants stay well conditioned.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroInAitchison
-from .simplex import _as_composition, _power_transform, _power_zero_rule, _validated
+from .simplex import (
+    SUM_TOLERANCE,
+    _as_composition,
+    _power_transform,
+    _power_zero_rule,
+    _validated,
+)
 
 __all__ = [
     "FAMILIES",
@@ -99,18 +108,38 @@ class MetricSpec:
 
         Rows must be finite and non-negative and not all zero; where the
         metric excludes zero parts, no part may be zero. Rows off the simplex
-        are closed, then power-transformed unless alpha is 1. An error names
-        the offending row of stacked input as "{role} row i" and the part
-        by column name when names (one per column) is given, else by index.
+        are closed, then power-transformed unless alpha is 1. Then each row
+        gets its family's transform, the parts staying on the last axis:
+        hellinger's rows become the square roots of their parts, aitchison's
+        their centred log-ratio images (see _clr). An error names the
+        offending row of stacked input as "{role} row i" and the part by
+        column name when names (one per column) is given, else by index.
         """
         if self.family == "aitchison":
             zero = ZeroInAitchison, "is zero"
         else:
             zero = _power_zero_rule(self.alpha)  # alpha is 1 outside POWER_FAMILIES
         rows = _validated(rows, role, names, zero)
-        if self.alpha == 1.0:
-            return _as_composition(rows)
-        return _power_transform(rows, self.alpha)
+        if self.alpha != 1.0:
+            return _power_transform(rows, self.alpha)
+        rows = _as_composition(rows)
+        if self.family == "hellinger":
+            return np.sqrt(rows)
+        if self.family == "aitchison":
+            return _clr(rows)
+        return rows
+
+    def triangle_slack(self, parts: int) -> float | None:
+        """How far the kernel's values may break the triangle inequality.
+
+        For rows x, w and p from prepare, with the given number of parts,
+        the computed distances satisfy d(x, w) >= |d(x, p) - d(w, p)| -
+        slack, even after the gap is rounded and the slack subtracted; see
+        _distance_error. None for angular, which is not a metric.
+        """
+        if self.family == "angular":
+            return None
+        return 4.0 * _distance_error(self.family, parts)
 
 
 def esov_distance(x, w):
@@ -216,8 +245,8 @@ def _part_sum(t):
 _TINY = np.finfo(float).tiny
 
 
-def _xlogq(x, s, out=None):
-    """x * log(2x / s), with the quotient clamped to the smallest normal float.
+def _xlogq(x, q):
+    """x * log(q), in q's buffer, for q = 2x / s clamped to the smallest normal float.
 
     So log never sees a zero or NaN lane, which takes its slow special-value
     path. At a zero part the quotient is 0, or NaN where both parts are zero,
@@ -227,7 +256,6 @@ def _xlogq(x, s, out=None):
     w = s and |x log q| < 2e-305 * w log 2: far below half an ulp of the
     other term, so their sum rounds to the same bits either way.
     """
-    q = np.divide(2.0 * x, s, out=out)
     np.fmax(q, _TINY, out=q)
     np.log(q, out=q)
     q *= x
@@ -237,8 +265,13 @@ def _xlogq(x, s, out=None):
 def _esov(x, w):
     s = x + w
     with np.errstate(invalid="ignore"):  # 0 / 0 where both parts are zero
-        terms = _xlogq(x, s)
-        terms += _xlogq(w, s, out=s)
+        # 2x is formed in its quotient's own buffer (doubling is exact); in
+        # knn's tiles x is the row block and w the (D, 1, w) columns, whose
+        # doubled copy is small and whose quotient goes over s
+        q = np.multiply(x, 2.0, out=np.empty_like(s))
+        q /= s
+        terms = _xlogq(x, q)
+        terms += _xlogq(w, np.divide(2.0 * w, s, out=s))
     # roundoff can leave a tiny negative divergence for near-identical inputs
     return np.sqrt(np.maximum(_part_sum(terms), 0.0))
 
@@ -248,17 +281,28 @@ def _taxicab(x, w):
     return _part_sum(np.abs(d, out=d))
 
 
+def _clr(rows):
+    """Centred log-ratio images of rows, parts on the last axis.
+
+    clr(x)_i = log x_i - mean_j log x_j, computed parts-first with _part_sum
+    (numpy's order for a sum over the last axis), so every bit is that of
+    the parts-last formula; the result is a parts-last view of the
+    parts-first array, which knn's tiles read without a copy.
+    """
+    logs = np.log(np.ascontiguousarray(np.moveaxis(rows, -1, 0)))
+    logs -= _part_sum(logs.copy()) / logs.shape[0]
+    return np.moveaxis(logs, 0, -1)
+
+
 def _aitchison(x, w):
-    lx = np.log(x)
-    lw = np.log(w)
-    cx = lx - _part_sum(lx.copy()) / lx.shape[0]
-    cw = lw - _part_sum(lw.copy()) / lw.shape[0]
-    d = cx - cw
+    # L2 between the clr images from prepare
+    d = x - w
     return np.sqrt(_part_sum(np.square(d, out=d)))
 
 
 def _hellinger(x, w):
-    d = np.sqrt(x) - np.sqrt(w)
+    # (1/sqrt 2) * L2 between the square-rooted parts from prepare
+    d = x - w
     return np.sqrt(0.5 * _part_sum(np.square(d, out=d)))
 
 
@@ -274,6 +318,55 @@ _KERNELS = {
     "hellinger": _hellinger,
     "angular": _angular,
 }
+
+
+# Rounding bounds for knn's pivot pruning, for rows from prepare with D
+# parts. u is the unit roundoff; the log is taken to be within 4 ulp (np.log
+# measured within 0.6 ulp with AVX-512, AVX2 and SSE dispatch); g bounds the relative
+# error of D + 3 roundings in a product, or of a sum of D non-negative terms
+# in any order, which is what each family needs below.
+_U = np.finfo(float).eps / 2
+_LOG_ERROR = 8 * _U
+# the largest |log| of a positive float (of the smallest subnormal, 744.4)
+_LOG_RANGE = 746.0
+
+
+def _distance_error(family: str, parts: int) -> float:
+    """A bound on |computed - exact| for one distance between prepared rows.
+
+    Exact means the family's formula in real arithmetic on the prepared
+    floats, which is a metric for all but angular: L1 and L2 on any
+    vectors, and the square root of the Jensen-Shannon divergence on any
+    non-negative ones (Endres & Schindelin 2003). Closed rows sum to at
+    most 1 + SUM_TOLERANCE (rows that close within it are kept as they
+    are) up to the closure's rounding, so with both rows of a pair, sigma
+    bounds the sum of all parts, and every tc and hellinger distance.
+
+      tc, hellinger: every term of the sum is non-negative, so the result's
+        error is relative, at most g, on a distance of at most sigma.
+      aitchison: the same on clr images, whose parts lie within _LOG_RANGE
+        of 0, so a distance is at most 2 * _LOG_RANGE * sqrt(D).
+      esov: with q = 2x / (x + w) rounded twice and the log's error, each
+        term x log q is off by at most 2.02 u x + (log error + 1.01 u) *
+        |x log q|, where |x log q| <= (x + w) log 2; the add of the two terms
+        of a part and the sum over the parts add (u + g) (x + w) 2 log 2. In
+        all, the divergence sum is off by at most 2 sigma (log error + g),
+        and as |sqrt a - sqrt b| <= sqrt |a - b|, the distance by the root
+        of that, plus its own rounding.
+
+    The subnormal range, where a product keeps no relative precision, adds
+    less than 1e-150 to a distance, far below every bound here. A slack of
+    4 bounds covers the three distances of a triangle, plus the rounding of
+    a bound's gap and of the slack's subtraction (each at most u times the
+    largest distance, below one bound).
+    """
+    g = (parts + 3) * _U / (1 - (parts + 3) * _U)
+    sigma = 2.0 * (1.0 + SUM_TOLERANCE) * (1.0 + g)
+    if family == "esov":
+        return math.sqrt(2.0 * sigma * (_LOG_ERROR + g)) + _U * sigma
+    if family == "aitchison":
+        return g * 2.0 * _LOG_RANGE * math.sqrt(parts)
+    return g * sigma
 
 
 def distance(spec: MetricSpec, x, w):

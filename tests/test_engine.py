@@ -57,9 +57,16 @@ def lattice_dataset(resolution, interior):
 
 @pytest.fixture(autouse=True)
 def small_tiles(monkeypatch):
-    """7 x 5 tiles of 3-part rows, so the 48- and 60-row datasets here span many."""
+    """7 x 5 tiles of 3-part rows, so the 48- and 60-row datasets here span many.
+
+    A dataset ranked against itself is pruned, whatever its size and kmax,
+    in 7-row blocks too.
+    """
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(knn, "_WALK_ROWS", 7)
     monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 5 * 3)
+    monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
+    monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
 
 
 def reference_vote(dists, neighbours, labels):

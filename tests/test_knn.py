@@ -94,8 +94,7 @@ class TestPairwiseDistances:
         rng = np.random.default_rng(7)
         make = positive_compositions if spec.needs_positive else sparse_compositions
         data = LabeledDataset(make(rng, 150, 9), np.arange(150) % 3, ("a", "b", "c"))
-        x = spec.prepare(data.rows)
-        full = parts_last.kernel(spec, x[:, None], x[None]).view(np.int64)  # one call
+        full = parts_last.matrix(spec, data.rows, data.rows).view(np.int64)  # one call
         assert np.array_equal(full, full.T)
         tiled = pairwise_distances(data, data.rows, spec)
         assert np.array_equal(full, tiled.view(np.int64))
@@ -117,8 +116,7 @@ class TestPairwiseDistances:
         make = positive_compositions if spec.needs_positive else sparse_compositions
         data = LabeledDataset(make(rng, 150, 9), np.arange(150) % 3, ("a", "b", "c"))
         queries = data.rows[::-4]  # not train itself, so no strip is mirrored
-        x, q = spec.prepare(data.rows), spec.prepare(queries)
-        full = parts_last.kernel(spec, q[:, None], x[None]).view(np.int64)
+        full = parts_last.matrix(spec, queries, data.rows).view(np.int64)
         got = pairwise_distances(data, queries, spec)
         assert np.array_equal(full, got.view(np.int64))
 
@@ -331,9 +329,13 @@ class TestClassify:
 def test_nearest_matches_full_stable_argsort(monkeypatch, spec, exclude_self):
     # lattice points plus a duplicated block: ties everywhere. 7 x 5 tiles on
     # 60 rows give ragged last tiles, mirrored tiles, a masked diagonal split
-    # over two tiles, kmax wider than a tile and ties across the k-th distance
+    # over two tiles, kmax wider than a tile and ties across the k-th
+    # distance; train against itself is pruned, whatever kmax, in 7-row blocks
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
+    monkeypatch.setattr(knn, "_WALK_ROWS", 7)
     monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 5 * 3)
+    monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
+    monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
     data = lattice_dataset(8, interior=False)
     n = len(data)
     train = spec.prepare(data.rows)
@@ -353,13 +355,9 @@ def test_nearest_matches_full_stable_argsort(monkeypatch, spec, exclude_self):
         _nearest(train, train, spec, n + 1 - exclude_self, exclude_self)
 
 
-def _reversed_strips(tiles):
-    """tiles with each item copied (the strip buffer is reused), yielded last first."""
-
-    def reversed_tiles(*args):
-        return reversed([(r0, c0, d.copy()) for r0, c0, d in tiles(*args)])
-
-    return reversed_tiles
+def _reversed(items):
+    """items with each strip copied (the strip buffer is reused), last first."""
+    return reversed([(*where, d.copy()) for *where, d in items])
 
 
 @pytest.mark.parametrize(
@@ -372,14 +370,23 @@ def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, exclude_self)
     # on 60 rows: strips do not divide n, the last strip of the first row
     # block is exactly one tile, and strips are mirrored with the diagonal
     # masked. Reversed, a row meets its higher columns first, so a tied
-    # candidate with a lower row index arrives after its rival.
+    # candidate with a lower row index arrives after its rival. A dataset
+    # against itself takes the walk, whose strips are all yielded up front
+    # here, before any k-th distance is known, so nothing is pruned.
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 6 * 3)
     data = lattice_dataset(8, interior=False)
     train = spec.prepare(data.rows)
     n = len(train)
     assert (n, n % 18) == (60, 6)
-    monkeypatch.setattr(knn, "_tiles", _reversed_strips(knn._tiles))
+    tiles, walk = knn._tiles, knn._walk
+    monkeypatch.setattr(knn, "_tiles", lambda *args: _reversed(tiles(*args)))
+
+    def reversed_walk(*args):
+        order, items = walk(*args)
+        return order, _reversed(items)
+
+    monkeypatch.setattr(knn, "_walk", reversed_walk)
     # train itself; equal values in another array; one query row
     others = [] if exclude_self else [train[::-3].copy(), train[5:6].copy()]
     for q in [train, *others]:

@@ -296,8 +296,8 @@ def oracle_rows(rng, n, d, positive):
 def test_kernels_equal_the_parts_last_formulas(spec, d):
     rng = np.random.default_rng(d)
     raw = oracle_rows(rng, 40, d, spec.needs_positive)
+    want = parts_last.matrix(spec, raw, raw).view(np.int64)
     x = spec.prepare(raw)
-    want = parts_last.kernel(spec, x[:, None], x[None]).view(np.int64)
     if spec == MetricSpec("esov") and d > 2:
         # the quotient clamp changes some nonzero terms here
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -319,3 +319,22 @@ def test_kernels_equal_the_parts_last_formulas(spec, d):
         one = distance(spec, raw[i], raw[j])
         assert type(one) is np.float64
         assert one.view(np.int64) == want[i, j]
+
+
+@pytest.mark.parametrize("d", [2, 8, 130])
+def test_prepare_applies_the_per_row_transforms(d):
+    # hellinger and aitchison rows come out of prepare as square roots and
+    # clr images, so their kernels are plain L2; one row or a stack, the
+    # parts stay on the last axis
+    rng = np.random.default_rng(d)
+    raw = oracle_rows(rng, 20, d, positive=True)
+    closed = parts_last.closed(MetricSpec("aitchison"), raw)
+    logs = np.log(closed)
+    clr = logs - logs.mean(axis=-1, keepdims=True)
+    for family, want in (("hellinger", np.sqrt(closed)), ("aitchison", clr)):
+        spec = MetricSpec(family)
+        got = spec.prepare(raw)
+        assert got.shape == raw.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        one = spec.prepare(raw[3])
+        assert np.array_equal(one.view(np.int64), want[3].view(np.int64))

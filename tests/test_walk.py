@@ -1,0 +1,233 @@
+"""The pruned self walk of knn against a full, stable argsort.
+
+A dataset measured against itself (LOOCV, tune, dist) is walked in blocks
+ordered by pivot distances, and blocks whose triangle bound exceeds every
+row's running k-th distance are never computed. The bound only holds up to
+the kernels' rounding (MetricSpec.triangle_slack), so the data here is made
+of the cases where rounding decides: exact duplicates, lattice ties, and
+copies moved by 1 to 3 ulp per part. Neighbours and distance bits must equal
+an unblocked oracle's, whatever is skipped.
+"""
+
+import logging
+import math
+import re
+
+import numpy as np
+import pytest
+
+import parts_last
+from simplexknn import LabeledDataset, MetricSpec, pairwise_distances, write_csv
+from simplexknn import knn
+from simplexknn.cli import main
+from simplexknn.knn import _nearest
+from simplexknn.metrics import _LOG_ERROR, _U
+from conftest import positive_compositions, sparse_compositions
+from test_engine import lattice_dataset
+
+SPECS = [MetricSpec(f, a) for f in ("esov", "tc") for a in (-0.5, 0.0, 0.5, 1.0)] + [
+    MetricSpec(f) for f in ("aitchison", "hellinger", "angular")
+]
+WALK = re.compile(r"(\d+) of (\d+) block pairs computed, (\d+) skipped, (\d+) pivots")
+
+
+def nudged(rng, rows):
+    """rows with each nonzero part moved by -3 to 3 ulp (zero parts stay zero)."""
+    steps = rng.integers(-3, 4, rows.shape) * (rows > 0)
+    return rows + steps * np.spacing(rows)
+
+
+def tie_rows(kind, positive, seed=0):
+    """Rows where rounding decides the neighbours: duplicates, ties, ulp nudges."""
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        base = lattice_dataset(12, interior=positive).rows  # with a duplicated block
+    else:
+        make = positive_compositions if positive else sparse_compositions
+        base = make(rng, 120, 8)
+    pick = rng.choice(len(base), len(base) // 2, replace=False)
+    return np.vstack([base, nudged(rng, base[pick]), nudged(rng, base[pick[::3]])])
+
+
+@pytest.fixture
+def small_walk(monkeypatch):
+    """5-row blocks and 5-column tiles, so a hundred rows make many blocks,
+    pruned whatever the number of rows and kmax."""
+
+    def shrink(parts):
+        monkeypatch.setattr(knn, "_WALK_ROWS", 5)
+        monkeypatch.setattr(knn, "_TILE_FLOATS", 5 * 5 * parts)
+        monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
+        monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
+
+    return shrink
+
+
+def walk_records(caplog):
+    """(computed, total, skipped, pivots) of each walk logged so far."""
+    found = [WALK.search(r.getMessage()) for r in caplog.records]
+    return [tuple(int(g) for g in m.groups()) for m in found if m]
+
+
+def oracle(spec, raw, kmax, exclude_self):
+    full = parts_last.matrix(spec, raw, raw)  # one unblocked call
+    if exclude_self:
+        np.fill_diagonal(full, np.inf)
+    order = np.argsort(full, axis=1, kind="stable")[:, :kmax]
+    return order, np.take_along_axis(full, order, axis=1)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+@pytest.mark.parametrize("kind", ["lattice", "random"])
+@pytest.mark.parametrize(
+    "kmax, exclude_self",
+    [(1, True), (3, True), (27, False)],
+    ids=["loocv1", "loocv3", "tune"],
+)
+def test_pruned_walk_matches_stable_argsort(
+    small_walk, caplog, spec, kind, kmax, exclude_self
+):
+    raw = tie_rows(kind, spec.needs_positive)
+    rows = spec.prepare(raw)
+    small_walk(rows.shape[1])
+    caplog.set_level(logging.DEBUG, logger="simplexknn")
+    indices, dists = _nearest(rows, rows, spec, kmax, exclude_self)
+    want, want_dists = oracle(spec, raw, kmax, exclude_self)
+    assert np.array_equal(indices, want)
+    assert np.array_equal(dists.view(np.int64), want_dists.view(np.int64))
+    [(computed, total, skipped, pivots)] = walk_records(caplog)
+    assert computed + skipped == total
+    if spec.family == "angular":
+        assert (skipped, pivots) == (0, 0)
+    elif kmax == 1:
+        assert skipped > 0 and pivots == knn._PIVOTS  # the walk did prune
+
+
+@pytest.mark.parametrize("spec", [MetricSpec("esov", 0.5), MetricSpec("tc")], ids=repr)
+def test_walk_order_does_not_change_the_result(small_walk, monkeypatch, spec):
+    # the pivot order reversed: other blocks, bounds and visiting order
+    raw = tie_rows("random", False, seed=3)
+    rows = spec.prepare(raw)
+    small_walk(rows.shape[1])
+    want = _nearest(rows, rows, spec, 3, True)
+    pivot_order = knn._pivot_order
+
+    def reversed_order(*args):
+        order, table = pivot_order(*args)
+        return order[::-1].copy(), table[::-1].copy()
+
+    monkeypatch.setattr(knn, "_pivot_order", reversed_order)
+    got = _nearest(rows, rows, spec, 3, True)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+
+
+def test_angular_visits_every_pair(small_walk, caplog):
+    raw = tie_rows("random", False, seed=5)
+    small_walk(raw.shape[1])
+    caplog.set_level(logging.DEBUG, logger="simplexknn")
+    for family in ("hellinger", "angular"):
+        spec = MetricSpec(family)
+        rows = spec.prepare(raw)
+        _nearest(rows, rows, spec, 1, True)
+    (_, total, skipped, _), angular = walk_records(caplog)
+    assert skipped > 0  # the same rows under a metric prune
+    blocks = -(-len(raw) // knn._BLOCK_ROWS)  # no pivots: blocks of _BLOCK_ROWS
+    assert angular == (blocks * (blocks + 1) // 2, blocks * (blocks + 1) // 2, 0, 0)
+
+
+def test_one_record_per_walk_and_none_for_queries(caplog):
+    spec = MetricSpec("tc")
+    rows = np.vstack([tie_rows("random", False, seed) for seed in range(6)])
+    rows = spec.prepare(rows)
+    n = len(rows)
+    assert n >= knn._PRUNE_ROWS
+    data = LabeledDataset(rows, np.arange(n) % 3, ("a", "b", "c"))
+    caplog.set_level(logging.DEBUG, logger="simplexknn")
+    _nearest(rows, rows, spec, 3, True)
+    _nearest(rows, rows, spec, n // knn._PRUNE_SHARE + 1)  # too wide a prefix to prune
+    few = rows[: knn._PRUNE_ROWS - 1]
+    _nearest(few, few, spec, 3, True)  # too few rows
+    pairwise_distances(data, data.rows, spec)  # no k-th distance to prune by
+    _nearest(rows[:5].copy(), rows, spec, 3)  # queries: no blocks to skip
+    records = walk_records(caplog)
+    assert [pivots for *_, pivots in records] == [knn._PIVOTS, 0, 0, 0]
+    assert all(computed + skipped == total for computed, total, skipped, _ in records)
+    assert records[0][2] > 0 and records[1][2] == 0
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s.family != "angular"], ids=repr)
+@pytest.mark.parametrize("kind", ["lattice", "random"])
+def test_triangle_slack_covers_computed_distances(spec, kind):
+    # every row is a pivot: the computed triangle inequality may fail, by
+    # less than the slack
+    rows = spec.prepare(tie_rows(kind, spec.needs_positive, seed=7))
+    t = np.ascontiguousarray(rows.T)
+    d = spec.kernel(t[:, :, None], t[:, None, :])
+    worst = max(
+        (np.abs(d[:, p, None] - d[None, p, :]) - d).max() for p in range(len(rows))
+    )
+    assert worst <= spec.triangle_slack(rows.shape[1])
+
+
+def test_triangle_slack_per_family():
+    assert MetricSpec("angular").triangle_slack(8) is None
+    families = ("esov", "tc", "hellinger", "aitchison")
+    slack = {f: MetricSpec(f).triangle_slack(8) for f in families}
+    # esov's error is the square root of its divergence sum's
+    assert 1e-8 < slack["esov"] < 1e-6
+    assert slack["tc"] == slack["hellinger"] < 1e-14
+    assert slack["hellinger"] < slack["aitchison"] < 1e-10
+    assert MetricSpec("tc").triangle_slack(9) > slack["tc"]
+
+
+def test_log_is_within_the_slacks_assumption():
+    # the slack allows np.log 4 ulp; math.log (the C library's) is within
+    # 1 ulp, so np.log may stray 3 ulp from it on whatever SIMD target runs
+    rng = np.random.default_rng(11)
+    q = np.concatenate([
+        rng.uniform(0, 2, 20000),
+        1.0 + rng.uniform(-1e-6, 1e-6, 5000),
+        10.0 ** rng.uniform(-307, 0, 5000),
+        np.finfo(float).tiny * rng.uniform(1, 4, 1000),
+    ])
+    q = q[q > 0]
+    got = np.log(q)
+    for x, g in zip(q.tolist(), got.tolist()):
+        want = math.log(x)
+        assert abs(g - want) <= 3 * math.ulp(want)
+    assert _LOG_ERROR == 8 * _U  # 4 ulp as a relative error
+
+
+def test_cli_output_unchanged_with_debug_logging(tmp_path, monkeypatch, caplog, capsys):
+    rng = np.random.default_rng(8)
+    rows = positive_compositions(rng, 90, 4)
+    path = tmp_path / "rows.csv"
+    write_csv(LabeledDataset(rows, np.arange(90) % 3, ("a", "b", "c")), path, "kind")
+    monkeypatch.setattr(knn, "_WALK_ROWS", 5)
+    monkeypatch.setattr(knn, "_TILE_FLOATS", 5 * 5 * 4)
+    monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
+    monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
+    common = ["--input", str(path), "--label-column", "kind", "--family", "esov"]
+    commands = {
+        "roc": ["roc", *common, "--alpha", "0.5", "--k", "3", "--output-dir"],
+        "tune": ["tune", *common, "--alphas", "0.5,1", "--k", "1,3", "--B", "5",
+                 "--test-n", "6", "--seed", "3", "--output"],
+        "dist": ["dist", *common, "--alpha", "0.5", "--output"],
+    }
+    outputs = []
+    for level in (logging.WARNING, logging.DEBUG):
+        caplog.set_level(level, logger="simplexknn")
+        out = tmp_path / logging.getLevelName(level)
+        out.mkdir()
+        for name, argv in commands.items():
+            assert main([*argv, str(out / name)]) == 0
+        files = sorted(p for p in out.rglob("*") if p.is_file())
+        outputs.append(
+            ([p.relative_to(out) for p in files], [p.read_bytes() for p in files],
+             capsys.readouterr())
+        )
+    assert outputs[0] == outputs[1]
+    records = walk_records(caplog)
+    assert len(records) == 4  # roc, one per alpha of tune, and dist
+    assert any(skipped > 0 for _, _, skipped, _ in records)
