@@ -13,12 +13,17 @@ platform independent.
 The grid is evaluated by one shared-split engine. Per alpha, the rows are
 validated and power-transformed once, and the dataset is measured against
 itself in strips, each distance computed once (see knn). Each row keeps only
-its first max(ks) + test_total columns in (distance, row index) order, so
-memory is O(n * (max(ks) + test_total)) plus one strip, never n x n. A
-replication removes test_total columns, the row itself among them, so each
-test row's first max(ks) training columns lie in that prefix; filtering it
-down to the training columns gives exactly the order of a per-replication
-matrix. Replications go in blocks sized like a tile (knn._TILE_FLOATS), so
+its first max(ks) + m columns in (distance, row index) order, so memory is
+O(n * (max(ks) + m)) plus one strip, never n x n. A replication removes
+test_total columns, the row itself among them; filtering a test row's
+prefix down to the training columns gives exactly the order of a
+per-replication matrix as long as it holds max(ks) of them. The margin m
+(_prefix_margin) is set by the hypergeometric tail of the number of test
+rows in a prefix, so that fewer than one (row, replication) pair is
+expected to run short over all B splits; a pair that does is ranked again
+against the whole dataset over max(ks) + test_total columns, which always
+hold enough, with the same kernels and keys, so it gets the same bits and
+order. Replications go in blocks sized like a tile (knn._TILE_FLOATS), so
 memory does not grow with B: one gather, mask lookup and cumsum filter a
 block, one knn._vote votes every k and one bincount counts every (k,
 replication) confusion matrix, bit-identical to classifying each cell alone.
@@ -29,8 +34,8 @@ one-vs-rest ROC curves with trapezoidal AUC.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -112,12 +117,16 @@ def allocate_test_counts(class_counts, test_total: int) -> np.ndarray:
     return alloc
 
 
-def _test_rows(data, alloc: np.ndarray, seed: int, replication_index: int):
-    """Sorted test rows of one replication: alloc[c] rows drawn from class c."""
+def _class_members(data) -> list[np.ndarray]:
+    """The rows of each class, in row order."""
+    return [np.flatnonzero(data.labels == c) for c in range(data.n_classes)]
+
+
+def _test_rows(members, alloc: np.ndarray, seed: int, replication_index: int):
+    """Sorted test rows of one replication: alloc[c] rows drawn from members[c]."""
     rng = np.random.default_rng(
         np.random.SeedSequence([int(seed) % 2**64, int(replication_index) % 2**64])
     )
-    members = (np.flatnonzero(data.labels == c) for c in range(data.n_classes))
     picks = [rng.permutation(rows)[:count] for rows, count in zip(members, alloc)]
     return np.sort(np.concatenate(picks))
 
@@ -132,7 +141,7 @@ def stratified_holdout(
     class). The stream is fully determined by (seed, replication_index).
     """
     alloc = allocate_test_counts(data.class_counts(), test_total)
-    test_idx = _test_rows(data, alloc, seed, replication_index)
+    test_idx = _test_rows(_class_members(data), alloc, seed, replication_index)
     train_idx = np.setdiff1d(np.arange(len(data)), test_idx)
     return data.subset(train_idx), data.subset(test_idx)
 
@@ -250,30 +259,77 @@ class GridResult:
         }
 
 
-def _replication_stats(data, indices, dists, tests, ks):
+def _prefix_margin(n: int, test_total: int, kmax: int, B: int) -> int:
+    """m: how many columns past kmax each row keeps for the replications.
+
+    A test row's first kmax + m columns, itself among them, hold fewer than
+    kmax training columns only when m other test rows lie there too. Over
+    the splits, the number X of test rows among those kmax + m - 1 other
+    rows is about hypergeometric: kmax + m - 1 draws from n - 1 rows, of
+    which test_total - 1 are test rows. m is the smallest margin for which
+    the expected number of short (row, replication) pairs, B * test_total *
+    P(X >= m), is below one, compared exactly in integers; at most
+    test_total, with which no row is ever short.
+    """
+    others, tests = n - 1, test_total - 1
+    for m in range(test_total):
+        draws = kmax + m - 1
+        tail = sum(
+            comb(tests, x) * comb(others - tests, draws - x)
+            for x in range(m, min(tests, draws) + 1)
+        )
+        if B * test_total * tail < comb(others, draws):
+            return m
+    return test_total
+
+
+def _replication_stats(data, prepared, spec, indices, dists, tests, ks):
     """Per-replication statistics of every k from one metric's ranking.
 
-    indices and dists are each row's first max(ks) + test_total columns, from
-    _nearest over the whole dataset; tests is (B, test_total). A block of
-    replications keeps its (rows, columns) arrays within knn._TILE_FLOATS.
-    Returns accuracy (K, B) in percent, sensitivity and specificity (K, C, B).
+    indices and dists are each row's first max(ks) + m columns, from
+    _nearest over the rows prepared by spec; tests is (B, test_total). A
+    block of replications keeps its (rows, columns) arrays within
+    knn._TILE_FLOATS. Logs how many (row, replication) pairs were ranked
+    again at DEBUG. Returns accuracy (K, B) in percent, sensitivity and
+    specificity (K, C, B).
     """
     B, test_n = tests.shape
-    per_block = max(1, knn._TILE_FLOATS // (test_n * indices.shape[1]))
+    width = indices.shape[1]
+    per_block = max(1, knn._TILE_FLOATS // (test_n * width))
     acc = np.empty((len(ks), B))
     rates = np.empty((2, len(ks), data.n_classes, B))  # sensitivity, specificity
+    again = 0
     for b0 in range(0, B, per_block):
         reps = slice(b0, b0 + per_block)
         out = acc[:, reps], rates[..., reps]
-        _score_block(data, indices, dists, tests[reps], ks, *out)
+        again += _score_block(
+            data, prepared, spec, indices, dists, tests[reps], ks, *out
+        )
+    knn._debug(
+        "tune prefix: %d columns, %d of %d (row, replication) pairs ranked again",
+        width, again, B * test_n,
+    )
     return acc, rates[0], rates[1]
 
 
-def _score_block(data, indices, dists, tests, ks, acc, rates):
+def _first_training(train, ranked, offsets, kmax):
+    """(keep, found): each row's first kmax training columns, and how many it has.
+
+    train is the flat (replications * n) training mask and offsets[i] the
+    start of row i's replication in it; ranked holds global row indices.
+    """
+    keep = train[ranked + offsets[:, None]]
+    count = np.cumsum(keep, axis=1)
+    keep &= count <= kmax
+    return keep, count[:, -1]
+
+
+def _score_block(data, prepared, spec, indices, dists, tests, ks, acc, rates):
     """Fill acc (K, reps) and rates (2, K, C, reps) for one block of replications.
 
     A function of its own, so every work array of a block is freed before
-    the next block is built.
+    the next block is built. Returns how many (row, replication) pairs were
+    ranked again.
     """
     n_classes, kmax, n_ks = data.n_classes, max(ks), len(ks)
     (reps, test_n), n = tests.shape, len(data)
@@ -281,12 +337,24 @@ def _score_block(data, indices, dists, tests, ks, acc, rates):
     rep = np.arange(rows.size) // test_n  # each test row's replication
     train = np.ones((reps, n), dtype=bool)
     train[rep, rows] = False
-    ranked = indices[rows]
+    train = train.reshape(-1)
+    offsets = rep * n
+    ranked, near = indices[rows], dists[rows]
     # every row keeps its first kmax training columns, in global order
-    keep = train.reshape(-1)[ranked + (rep * n)[:, None]]
-    keep &= np.cumsum(keep, axis=1) <= kmax
+    keep, found = _first_training(train, ranked, offsets, kmax)
+    short = np.flatnonzero(found < kmax)
+    if short.size:
+        # too many test rows in the prefix: rank these rows again over
+        # kmax + test_n columns, which always hold kmax training ones. The
+        # kernels are bitwise symmetric and the keys (distance, row index),
+        # so the query path gives the self walk's bits and order
+        idx, d = _nearest(prepared[rows[short]], prepared, spec, kmax + test_n)
+        mask, _ = _first_training(train, idx, offsets[short], kmax)
+        ranked[short, :kmax] = idx[mask].reshape(-1, kmax)
+        near[short, :kmax] = d[mask].reshape(-1, kmax)
+        keep[short] = np.arange(ranked.shape[1]) < kmax
     sel = ranked[keep].reshape(rows.size, kmax)
-    ranked_dists = dists[rows][keep].reshape(rows.size, kmax)
+    ranked_dists = near[keep].reshape(rows.size, kmax)
     winners, _ = _vote(ranked_dists.T, data.labels[sel].T, ks, n_classes)
     cell = (np.arange(n_ks)[:, None] * reps + rep) * n_classes + data.labels[rows]
     flat = (cell * n_classes + winners).ravel()
@@ -294,6 +362,7 @@ def _score_block(data, indices, dists, tests, ks, acc, rates):
     cms = cms.reshape(n_ks, reps, n_classes, n_classes)
     acc[...] = 100.0 * (np.trace(cms, axis1=2, axis2=3) / test_n)
     rates[...] = np.swapaxes(sensitivity_specificity(cms), 2, 3)
+    return short.size
 
 
 def _mean_sd(values: np.ndarray) -> tuple[list, list]:
@@ -354,13 +423,19 @@ def grid_search(
             f"k={max(ks)} exceeds the training size {train_size}"
         )
 
+    # imported here, not with the module: hashlib loads OpenSSL's libcrypto,
+    # 3.5 MiB of RSS that every other command would pay for nothing
+    import hashlib
+
+    members = _class_members(data)
     tests = np.empty((B, test_total), dtype=np.intp)
     digest = hashlib.sha256()
     for b in range(B):
-        tests[b] = _test_rows(data, alloc, seed, b)
+        tests[b] = _test_rows(members, alloc, seed, b)
         digest.update(np.int64(b).tobytes())
         digest.update(tests[b].astype("<i8").tobytes())
 
+    width = max(ks) + _prefix_margin(len(data), test_total, max(ks), B)
     cells = []
     for mspec in specs:
         alpha = mspec.alpha if power else None
@@ -373,8 +448,10 @@ def grid_search(
                 for k in ks
             )
             continue
-        indices, dists = _nearest(prepared, prepared, mspec, max(ks) + test_total)
-        acc, sens, spec = _replication_stats(data, indices, dists, tests, ks)
+        indices, dists = _nearest(prepared, prepared, mspec, width)
+        acc, sens, spec = _replication_stats(
+            data, prepared, mspec, indices, dists, tests, ks
+        )
         acc_mean, acc_sd = _mean_sd(acc)
         per_class = _mean_sd(sens) + _mean_sd(spec)  # in GridCell's field order
         for i, k in enumerate(ks):

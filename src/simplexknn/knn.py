@@ -12,8 +12,9 @@ reproducible across runs, platforms and thread schedules:
     (neighbours labeled c) / k, so scores sum to 1 and their argmax under the
     same tie rules reproduces classify();
   * one vote serves classify, LOOCV and tune: it reads the ranked neighbours
-    neighbour-major, so every query's first k form one prefix, and decides
-    each k over class-first (C, m) counts and distance sums.
+    neighbour-major, so every query's first k form one prefix, decides the
+    smallest k over class-first (C, m) counts and distance sums, and reaches
+    any larger k by a running winner, one rank at a time.
 
 Distances are computed in strips: one block of query rows against a run of
 whole kernel tiles of columns. A kernel call measures one tile, sized by a
@@ -495,21 +496,51 @@ def _vote(
     """Vote among the first k ranked neighbours of each query, for every k in ks.
 
     ranked_dists and ranked_labels are (kmax, m), neighbour-major. Returns
-    (winners (K, m), class counts (C, m) of the last k). Bincounts over the
-    prefix give each (class, query) count and distance sum, added in
-    neighbour order; over the class axis 0, argmin takes the first class
-    with the smallest sum among those with the most votes (module rules).
+    (winners (K, m), class counts (C, m) of the largest k). For the smallest
+    k, bincounts over the prefix give each (class, query) count and distance
+    sum, added in neighbour order; over the class axis 0, argmin takes the
+    first class with the smallest sum among those with the most votes
+    (module rules). Larger ks are reached by a running winner, one rank at
+    a time: each rank adds its neighbour to its class's count and sum, in
+    place and in neighbour order, so every sum keeps its bits. That class
+    is the only one whose standing changed, and it only gained, so it is
+    the only one that can displace the winner: it does when its key
+    (-count, sum) is smaller than the winner's (complex keys order
+    lexicographically), or equal with a lower class index. A single k
+    never walks.
     """
     m = np.shape(ranked_labels)[1]
     cells = (ranked_labels * m + np.arange(m)).ravel()
     dists = np.ravel(ranked_dists)
+    k = min(ks)
+    prefix = cells[: k * m]
+    counts = np.bincount(prefix, minlength=n_classes * m).reshape(n_classes, m)
+    sums = np.bincount(prefix, dists[: k * m], n_classes * m).reshape(n_classes, m)
+    winner = np.where(counts == counts.max(axis=0), sums, np.inf).argmin(axis=0)
+    if len(ks) == 1:
+        return winner[None], counts
+    order = sorted(range(len(ks)), key=ks.__getitem__)
     winners = np.empty((len(ks), m), dtype=np.intp)
-    for i, k in enumerate(ks):
-        prefix = cells[: k * m]
-        counts = np.bincount(prefix, minlength=n_classes * m).reshape(n_classes, m)
-        sums = np.bincount(prefix, dists[: k * m], n_classes * m).reshape(n_classes, m)
-        winners[i] = np.where(counts == counts.max(axis=0), sums, np.inf).argmin(axis=0)
-    return winners, counts
+    winners[order[0]] = winner
+    keys = np.empty(n_classes * m, dtype=complex)
+    keys.real = -counts.ravel()
+    keys.imag = sums.ravel()
+    step = np.empty(m, dtype=complex)
+    step.real = -1.0
+    # the winner's cell, label * m + query: for one query, cells order as labels
+    held = winner * m + np.arange(m)
+    for i in order[1:]:
+        for r in range(k, ks[i]):
+            cell = cells[r * m : (r + 1) * m]
+            step.imag = dists[r * m : (r + 1) * m]
+            gained = keys[cell] + step
+            keys[cell] = gained
+            best = keys[held]
+            take = (gained < best) | ((gained == best) & (cell < held))
+            held = np.where(take, cell, held)
+        k = ks[i]
+        winners[i] = held // m
+    return winners, (-keys.real).astype(np.intp).reshape(n_classes, m)
 
 
 def _knn_vote(

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from simplexknn import (
     ternary_embed,
     write_csv,
 )
+from simplexknn import evaluation
 from simplexknn.cli import main, parse_grid
 
 from conftest import compositional_blobs
@@ -185,6 +187,31 @@ class TestTuneCommand:
         assert len(report["config"]["alphas"]) == 21
         assert len(report["config"]["ks"]) == 15
         assert len(report["result"]["cells"]) == 21 * 15
+
+    def test_bytes_unchanged_by_debug_logging_and_short_prefixes(
+        self, data_csv, tmp_path, monkeypatch, caplog
+    ):
+        # a margin of 1 sends most test rows to the exact fallback
+        outputs = []
+        runs = ((None, logging.WARNING), (None, logging.DEBUG), (1, logging.DEBUG))
+        for margin, level in runs:
+            if margin is not None:
+                monkeypatch.setattr(
+                    evaluation, "_prefix_margin", lambda n, t, kmax, B: margin
+                )
+            caplog.set_level(level, logger="simplexknn")
+            caplog.clear()
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{margin}-{level}.{fmt}"
+                assert self.run_tune(data_csv, out, fmt=fmt) == 0
+                outputs.append(out.read_bytes())
+            records = [r.getMessage() for r in caplog.records]
+            prefix = [m for m in records if m.startswith("tune prefix: ")]
+            # one record per alpha and run: 2 alphas, 2 formats
+            assert len(prefix) == (0 if level == logging.WARNING else 2 * 2)
+            if margin is not None:
+                assert all(", 0 of " not in m for m in prefix)
+        assert outputs[0::2] == [outputs[0]] * 3 and outputs[1::2] == [outputs[1]] * 3
 
     def test_dropped_columns_recorded_in_report(self, tmp_path):
         src = tmp_path / "ri.csv"
@@ -561,6 +588,25 @@ class TestCsvWriter:
         assert out.read_bytes() == _reference_csv(
             ["c1", "c2", "c3", "x", "y", "value"], expected
         )
+
+
+def test_cli_leaves_hashlib_unloaded(tmp_path):
+    """Only tune hashes its splits: the CLI and loci load no libcrypto."""
+    code = (
+        "import sys\n"
+        "import simplexknn.cli\n"
+        "assert '_hashlib' not in sys.modules\n"
+        "assert simplexknn.cli.main(sys.argv[1:]) == 0\n"
+        "assert '_hashlib' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(simplexknn.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "loci", "--family", "esov", "--alpha", "0.5",
+         "--n", "12", "--output", str(tmp_path / "field.csv")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "field.csv").exists()
 
 
 def test_utf8_files_whatever_the_locale(tmp_path):

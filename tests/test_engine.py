@@ -7,6 +7,9 @@ collapsing rows onto one point) makes any change in neighbour order or vote
 order visible, so results are compared with ==, never with a tolerance.
 """
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,8 @@ from simplexknn import (
     sensitivity_specificity,
     stratified_holdout,
 )
-from simplexknn import knn
+from simplexknn import evaluation, knn
+from conftest import compositional_blobs
 
 N_CLASSES = 3
 
@@ -116,19 +120,39 @@ def reference_cells(data, alpha, ks, family, B, test_total, seed):
     return cells
 
 
+PREFIX = re.compile(
+    r"tune prefix: (\d+) columns, (\d+) of (\d+) \(row, replication\) pairs"
+)
+
+
+def prefix_records(caplog):
+    """(columns, ranked again, pairs) of each tune prefix record."""
+    found = [PREFIX.match(r.getMessage()) for r in caplog.records]
+    return [tuple(map(int, f.groups())) for f in found if f]
+
+
+def fixed_margin(monkeypatch, margin):
+    """Every grid keeps max(ks) + margin columns."""
+    monkeypatch.setattr(evaluation, "_prefix_margin", lambda n, t, kmax, B: margin)
+
+
 # unsorted on purpose: every k is read from the same prefix sums
 KS = (4, 1, 2, 3, 7)
 ALPHAS = (0.0, 0.5, 1.0, 2.0)
 
 
 @pytest.mark.parametrize("family", ["esov", "tc"])
-def test_power_families_match_per_replication_path(family):
+def test_power_families_match_per_replication_path(monkeypatch, family):
     data = lattice_dataset(8, interior=False)
     kwargs = dict(B=6, test_total=12, seed=19)
-    result = grid_search(data, ALPHAS, KS, family, **kwargs)
     expected = []
     for alpha in ALPHAS:
         expected += reference_cells(data, alpha, KS, family, **kwargs)
+    result = grid_search(data, ALPHAS, KS, family, **kwargs)
+    assert [c.to_dict() for c in result.cells] == expected
+    # margin 0: nearly every test row is short and ranked again
+    fixed_margin(monkeypatch, 0)
+    result = grid_search(data, ALPHAS, KS, family, **kwargs)
     assert [c.to_dict() for c in result.cells] == expected
 
 
@@ -161,3 +185,57 @@ def test_loocv_matches_leave_one_row_out_loop(spec):
             nearest = np.argsort(dist, kind="stable")[:k]
             counts = np.bincount(rest.labels[nearest], minlength=N_CLASSES)
             assert scores[i].tolist() == (counts / k).tolist()
+
+
+@pytest.mark.parametrize(
+    "family, alphas, data",
+    [
+        ("esov", ALPHAS, "lattice"),
+        ("tc", ALPHAS, "lattice"),
+        ("hellinger", [1.0], "interior"),
+        ("angular", [1.0], "interior"),
+        ("aitchison", [1.0], "interior"),
+        ("esov", (0.5, 1.0), "blobs"),
+    ],
+    ids=["esov", "tc", "hellinger", "angular", "aitchison", "esov-blobs"],
+)
+def test_short_prefixes_ranked_again_match_the_full_prefix(
+    monkeypatch, caplog, family, alphas, data
+):
+    # margins 0 and 1 leave most test rows short of max(ks) training columns,
+    # so the fallback ranks them again; the grid must not change by a bit
+    if data == "blobs":
+        data = compositional_blobs(np.random.default_rng(5), (20, 18, 16), n_parts=4)
+    else:
+        data = lattice_dataset(8 if data == "lattice" else 10, data == "interior")
+    kwargs = dict(B=6, test_total=12, seed=19)
+    caplog.set_level(logging.DEBUG, logger="simplexknn")
+    reports, again = [], []
+    for margin in (kwargs["test_total"], 0, 1):  # the full prefix first
+        fixed_margin(monkeypatch, margin)
+        caplog.clear()
+        reports.append(grid_search(data, alphas, KS, family, **kwargs).to_dict())
+        again.append([short for _, short, _ in prefix_records(caplog)])
+    assert reports[0] == reports[1] == reports[2]
+    assert all(a == 0 for a in again[0])
+    assert all(a > 0 for a in again[1] + again[2])
+
+
+def test_one_prefix_record_per_scored_alpha(caplog):
+    # alpha -0.5 meets the lattice's zero parts and fails; the others score
+    data = lattice_dataset(8, interior=False)
+    caplog.set_level(logging.DEBUG, logger="simplexknn")
+    alphas = (-0.5, 0.5, 1.0)
+    result = grid_search(data, alphas, KS, "esov", B=6, test_total=12, seed=19)
+    assert [c.error is None for c in result.cells[:: len(KS)]] == [False, True, True]
+    margin = evaluation._prefix_margin(len(data), 12, max(KS), 6)
+    assert prefix_records(caplog) == [(max(KS) + margin, 0, 6 * 12)] * 2
+
+
+def test_prefix_margin():
+    # tune-paper's shape: 214 rows, 30 test rows, ks up to 15, B = 200
+    assert evaluation._prefix_margin(214, 30, 15, 200) == 11
+    assert evaluation._prefix_margin(214, 30, 15, 1) < 11
+    assert evaluation._prefix_margin(3000, 300, 15, 50) == 10
+    # the margin never passes test_total, which no row is short of
+    assert evaluation._prefix_margin(12, 10, 1, 1000) == 10

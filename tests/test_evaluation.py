@@ -379,7 +379,8 @@ class TestReplicationBlocks:
         monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
         data = lattice_dataset(8, interior=False)
         ks, test_total, B = (4, 1, 2, 3, 7), 12, 7
-        per_replication = test_total * (max(ks) + test_total)
+        margin = evaluation._prefix_margin(len(data), test_total, max(ks), B)
+        per_replication = test_total * (max(ks) + margin)
         reports = []
         for per_block in (1, 3, B):
             monkeypatch.setattr(knn, "_TILE_FLOATS", per_block * per_replication)
@@ -388,31 +389,33 @@ class TestReplicationBlocks:
         assert reports[0] == reports[1] == reports[2]
 
     def test_memory_does_not_grow_with_the_replications(self):
-        # one block of 11 replications, two blocks and twenty: each block's
+        # one block of 19 replications, two blocks and twenty: each block's
         # work arrays are freed before the next is built, so the traced peak
         # grows by the per-replication outputs only, plus 8 KiB for Python
         # objects and numpy's cache of small buffers (a block's arrays kept
         # alive into the next block add about 170 KB here)
         n, ks, test_total = 214, tuple(range(1, 16)), 30
-        per_block = knn._TILE_FLOATS // (test_total * (max(ks) + test_total))
-        assert per_block == 11
+        width = max(ks) + evaluation._prefix_margin(n, test_total, max(ks), 200)
+        per_block = knn._TILE_FLOATS // (test_total * width)
+        assert (width, per_block) == (26, 19)
         rng = np.random.default_rng(43)
         data = LabeledDataset(
             rng.dirichlet(np.ones(8), size=n), np.arange(n) % 6, tuple("abcdef")
         )
         spec = MetricSpec("esov", 0.5)
         rows = spec.prepare(data.rows)
-        indices, dists = knn._nearest(rows, rows, spec, max(ks) + test_total)
+        indices, dists = knn._nearest(rows, rows, spec, width)
         alloc = allocate_test_counts(data.class_counts(), test_total)
+        members = evaluation._class_members(data)
         tests = np.stack(
-            [evaluation._test_rows(data, alloc, 9, b) for b in range(20 * per_block)]
+            [evaluation._test_rows(members, alloc, 9, b) for b in range(20 * per_block)]
         )
         peaks, sizes = [], []
         for B in (per_block, 2 * per_block, 20 * per_block):
             tracemalloc.start()
             try:
                 stats = evaluation._replication_stats(
-                    data, indices, dists, tests[:B], ks
+                    data, rows, spec, indices, dists, tests[:B], ks
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:

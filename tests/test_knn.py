@@ -137,43 +137,49 @@ class TestNeighborConfig:
 class TestVote:
     """knn._vote against the frozen class-last vote, on heavily tied input."""
 
-    KS = (4, 1, 2, 3, 7)  # unsorted and with a gap: every k is voted alone
+    KS = (4, 1, 9, 2, 3, 7)  # unsorted, with gaps, the largest not last
 
-    def check(self, dists, labels, n_classes):
-        want_winners, want_counts = class_last.vote(dists, labels, self.KS, n_classes)
-        winners, counts = _vote(dists.T, labels.T, self.KS, n_classes)
+    def check(self, dists, labels, ks, n_classes):
+        want_winners, want_counts = class_last.vote(dists, labels, ks, n_classes)
+        winners, counts = _vote(dists.T, labels.T, ks, n_classes)
         assert winners.dtype == want_winners.dtype
         assert np.array_equal(winners, want_winners)
-        assert np.array_equal(counts, want_counts[-1].T)  # counts of the last k
-        for i, k in enumerate(self.KS):
+        # counts of the largest k
+        assert np.array_equal(counts, want_counts[ks.index(max(ks))].T)
+        for i, k in enumerate(ks):
             winners, counts = _vote(dists.T, labels.T, (k,), n_classes)
             assert np.array_equal(winners[0], want_winners[i])
             assert np.array_equal(counts, want_counts[i].T)
         return want_counts
 
     @pytest.mark.parametrize("n_classes", [1, 2, 6])
-    @pytest.mark.parametrize("m", [1, 50])
+    @pytest.mark.parametrize("m", [1, 50, 600])
     def test_equals_the_class_last_vote(self, n_classes, m):
+        # dense ks, a single (even) k, and unsorted ks with gaps
         rng = np.random.default_rng(10 * n_classes + m)
-        kmax = max(self.KS)
-        count_ties = 0
-        for _ in range(30):
-            # three lattice distances in neighbour order: sums tie as well
-            dists = np.sort(rng.integers(0, 3, (m, kmax)) * 0.25, axis=1)
-            labels = rng.integers(0, n_classes, (m, kmax))
-            counts = self.check(dists, labels, n_classes)
-            top = counts == counts.max(axis=-1, keepdims=True)
-            count_ties += int((top.sum(axis=-1) > 1).sum())
-        assert count_ties > 0 or n_classes == 1
+        for ks in (tuple(range(1, 16)), (6,), self.KS):
+            kmax = max(ks)
+            count_ties = 0
+            for _ in range(30 if m < 600 else 5):
+                # three lattice distances in neighbour order: sums tie as well
+                dists = np.sort(rng.integers(0, 3, (m, kmax)) * 0.25, axis=1)
+                labels = rng.integers(0, n_classes, (m, kmax))
+                counts = self.check(dists, labels, ks, n_classes)
+                top = counts == counts.max(axis=-1, keepdims=True)
+                count_ties += int((top.sum(axis=-1) > 1).sum())
+            assert count_ties > 0 or n_classes == 1
 
     @pytest.mark.parametrize("n_classes", [2, 6])
     def test_equal_sums_go_to_the_lower_class(self, n_classes):
         # one distance everywhere: a count tie is a sum tie, so the index decides
         rng = np.random.default_rng(n_classes)
         labels = rng.integers(0, n_classes, (40, max(self.KS)))
-        self.check(np.full(labels.shape, 0.5), labels, n_classes)
+        self.check(np.full(labels.shape, 0.5), labels, self.KS, n_classes)
         winners, _ = _vote(np.full((2, 1), 0.5), np.array([[1], [0]]), (2,), 2)
         assert winners.tolist() == [[0]]
+        # a later rank ties the winner on count and sum: the lower class takes it
+        winners, _ = _vote(np.full((2, 1), 0.5), np.array([[1], [0]]), (1, 2), 2)
+        assert winners.tolist() == [[1], [0]]
 
 
 class TestClassify:
