@@ -58,7 +58,6 @@ from .loci import (
     DistanceField,
     distance_field,
     ternary_embed,
-    transform_dataset,
 )
 
 __all__ = [
@@ -114,7 +113,6 @@ __all__ = [
     "auc",
     # loci
     "ternary_embed",
-    "transform_dataset",
     "DistanceField",
     "distance_field",
 ]

@@ -25,8 +25,9 @@ against the whole dataset over max(ks) + test_total columns, which always
 hold enough, with the same kernels and keys, so it gets the same bits and
 order. Replications go in blocks sized like a tile (knn._TILE_FLOATS), so
 memory does not grow with B: one gather, mask lookup and cumsum filter a
-block, one knn._vote votes every k and one bincount counts every (k,
-replication) confusion matrix, bit-identical to classifying each cell alone.
+block, one knn._vote votes every k, and two bincounts count the true
+positives and the predictions of every (k, replication, class), from which
+the rates follow bit-identical to classifying each cell alone.
 
 Also here: confusion statistics, leave-one-out membership scores and
 one-vs-rest ROC curves with trapezoidal AUC.
@@ -356,12 +357,20 @@ def _score_block(data, prepared, spec, indices, dists, tests, ks, acc, rates):
     sel = ranked[keep].reshape(rows.size, kmax)
     ranked_dists = near[keep].reshape(rows.size, kmax)
     winners, _ = _vote(ranked_dists.T, data.labels[sel].T, ks, n_classes)
-    cell = (np.arange(n_ks)[:, None] * reps + rep) * n_classes + data.labels[rows]
-    flat = (cell * n_classes + winners).ravel()
-    cms = np.bincount(flat, minlength=n_ks * reps * n_classes**2)
-    cms = cms.reshape(n_ks, reps, n_classes, n_classes)
-    acc[...] = 100.0 * (np.trace(cms, axis1=2, axis2=3) / test_n)
-    rates[...] = np.swapaxes(sensitivity_specificity(cms), 2, 3)
+    # each replication's true counts per class are its allocation, so only
+    # the true positives and the predictions of each (k, replication, class)
+    # are counted; the rates are sensitivity_specificity's, bit for bit
+    truth = data.labels[rows]
+    alloc = np.bincount(truth[:test_n], minlength=n_classes)
+    cells = (np.arange(n_ks)[:, None] * reps + rep) * n_classes
+    size, shape = n_ks * reps * n_classes, (n_ks, reps, n_classes)
+    tp = np.bincount((cells + truth)[winners == truth], minlength=size).reshape(shape)
+    fp = np.bincount((cells + winners).ravel(), minlength=size).reshape(shape) - tp
+    neg = test_n - alloc
+    acc[...] = 100.0 * (tp.sum(axis=2) / test_n)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rates[0] = np.swapaxes(tp / alloc, 1, 2)
+        rates[1] = np.swapaxes(np.where(neg > 0, (neg - fp) / neg, np.nan), 1, 2)
     return short.size
 
 

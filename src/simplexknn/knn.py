@@ -16,30 +16,24 @@ reproducible across runs, platforms and thread schedules:
     smallest k over class-first (C, m) counts and distance sums, and reaches
     any larger k by a running winner, one rank at a time.
 
-Distances are computed in strips: one block of query rows against a run of
-whole kernel tiles of columns. A kernel call measures one tile, sized by a
-float budget: rows * columns * parts <= _TILE_FLOATS, so every kernel
-temporary (one float per part of each pair) stays under 128 KiB; a strip
-holds as many tiles as fit in _TILE_FLOATS distances. The rows go to the
-kernels parts-first: each block of several rows is broadcast once into a
-cached (D, rows, columns) buffer, and every tile of its strips is that
-buffer against a (D, 1, columns) view of the training rows, so each
-elementwise pass runs along whole tiles. The strips are written into one
-buffer per call, so each is valid until the next.
-
-Queries (classify, membership_scores) are measured against every training
-row. A dataset against itself (LOOCV, tune, dist) is walked in square
-blocks, each unordered pair of blocks computed at most once and mirrored
-into both blocks' rows, as every kernel is bitwise symmetric. When ranking
-neighbours the walk prunes: rows are ordered by their distances to a few
-pivots, and a block of columns whose pivot bound (the triangle inequality,
-with a slack for the kernels' rounding) exceeds the running k-th distance
-of every row in a row block is never computed (see _walk). Each row keeps
-a running set of its k best (distance, row index) keys and its k-th
-distance; a strip is merged by one partition into the rows whose smallest
-distance in it is at or below that distance, and the sets are sorted once
-at the end. So memory is O(n * (k + pivots)) plus one strip, a few buffers
-of its size and one bit per pair of blocks.
+Every distance is measured by one engine, _walk, in strips: one block of
+query rows against a run of whole kernel tiles of columns. A tile is sized
+by a float budget, rows * columns * parts <= _TILE_FLOATS, so every kernel
+temporary (one float per part of each pair) stays under 128 KiB, and a
+strip holds _TILE_FLOATS distances. Each block of rows is broadcast
+parts-first into a (D, rows, columns) buffer, and every tile is that buffer
+against a (D, 1, columns) view of the training rows, so each elementwise
+pass runs along whole tiles. Queries (classify, membership_scores, pivot
+distances) are measured against every training row. A dataset against
+itself (LOOCV, tune, dist) is walked in square blocks, each unordered pair
+of blocks computed at most once and mirrored, as every kernel is bitwise
+symmetric; when ranking neighbours the walk also skips the blocks that a
+pivot bound shows cannot hold one (see _walk). Each row keeps a running
+set of its k best (distance, row index) keys and its k-th distance; a
+strip is merged by one partition into the rows whose smallest distance in
+it is at or below that distance, and the sets are sorted once at the end.
+So memory is O(n * (k + pivots)) plus one strip, a few buffers of its size
+and one bit per pair of blocks.
 """
 
 from __future__ import annotations
@@ -91,17 +85,16 @@ class NeighborConfig:
         object.__setattr__(self, "k", _positive_k(self.k))
 
 
-# One kernel call measures a tile of at most _BLOCK_ROWS query rows, with at
-# most _TILE_FLOATS floats in each (D, rows, columns) kernel temporary: 64 x
-# 30 on 8 parts, one row by 1,920 columns for classify. 120 KiB keeps each
-# temporary below glibc's 128 KiB mmap threshold; at 256 KiB every tile's
-# temporaries were mapped, or trimmed off the heap, and faulted in afresh. A
-# strip holds as many whole tiles as fit in _TILE_FLOATS distances: 64 x
-# 240, and 1 x 15,360 for classify. A pruned walk of a dataset against
-# itself takes blocks of _WALK_ROWS rows (40 x 40 tiles on 8 parts, 100
-# KiB per temporary) ordered by their distances to _PIVOTS pivots; on the
-# 3,000 glass-shaped rows of the benchmark, 4 to 8 pivots ranked equally
-# fast. Memory per call is fixed, whatever the number of rows.
+# A kernel call measures a tile of at most _TILE_FLOATS floats in each (D,
+# rows, columns) kernel temporary: 120 KiB keeps it below glibc's 128 KiB
+# mmap threshold; at 256 KiB every tile's temporaries were mapped, or trimmed
+# off the heap, and faulted in afresh. Blocks hold at most _BLOCK_ROWS rows,
+# _WALK_ROWS in a pruned walk, which orders its rows by their distances to
+# _PIVOTS pivots; on the 3,000 glass-shaped rows of the benchmark, 4 to 8
+# pivots ranked equally fast. So on 8 parts _geometry gives classify 1 x
+# 1,920 tiles in 15,360-column strips, other queries and the unpruned walk
+# 64 x 30 tiles in 240-column strips, and the pruned walk 40 x 40 tiles in
+# 384-column strips. Memory per call is fixed, whatever the number of rows.
 _BLOCK_ROWS = 64
 _TILE_FLOATS = 15 * 1024
 _WALK_ROWS = 40
@@ -112,45 +105,6 @@ _PIVOTS = 6
 # slower at 500 to 700 rows or with kmax at a tenth of 1,000 to 3,000 rows.
 _PRUNE_ROWS = 1000
 _PRUNE_SHARE = 15
-
-
-def _tiles(queries: np.ndarray, train: np.ndarray, spec: MetricSpec):
-    """Yield strips (r0, c0, d), d[i, j] = distance(queries[r0 + i], train[c0 + j]).
-
-    Both arguments are already prepared by spec.prepare. Each is copied
-    parts-first once, unless its transpose is already contiguous. A strip
-    is one block of query rows against a run of whole tiles of columns;
-    the block is broadcast once into a (D, rows, columns) buffer, and each
-    kernel call takes that buffer, sliced for a narrower last tile, against
-    a (D, 1, columns) view. The kernels' tiles are copied into one strip
-    buffer per call, so an item is valid only until the next one is asked
-    for; copy it to keep it. The items cover the (m, n) matrix exactly
-    once, and each entry is computed exactly as an unblocked kernel call
-    would. A dataset against itself is measured by _walk instead.
-    """
-    kernel = spec.kernel
-    q = np.ascontiguousarray(queries.T)
-    t = np.ascontiguousarray(train.T)
-    (parts, m), n = q.shape, t.shape[1]
-    height = max(1, min(_BLOCK_ROWS, _TILE_FLOATS // parts, m))
-    width = max(1, _TILE_FLOATS // (parts * height))
-    span = width * max(1, _TILE_FLOATS // (height * width))
-    # one query row broadcasts along whole tile rows as it is, so it stays
-    # one column wide; more rows are broadcast to the tile width once
-    block = np.empty((parts, height, width if height > 1 else 1))
-    strip = np.empty((height, min(span, n)))
-    for r0 in range(0, m, height):
-        r1 = min(r0 + height, m)
-        h = r1 - r0
-        block[:, :h] = q[:, r0:r1, None]
-        for s0 in range(0, n, span):
-            s1 = min(s0 + span, n)
-            d = strip[:h, : s1 - s0]
-            for c0 in range(s0, s1, width):
-                c1 = min(c0 + width, s1)
-                tile = kernel(block[:, :h, : c1 - c0], t[:, None, c0:c1])
-                d[:, c0 - s0 : c1 - s0] = tile
-            yield r0, s0, d
 
 
 def _stable_order(values: np.ndarray) -> np.ndarray:
@@ -164,34 +118,49 @@ def _stable_order(values: np.ndarray) -> np.ndarray:
     return keys.imag.astype(np.intp)
 
 
-def _distances_to(t: np.ndarray, kernel, p: int) -> np.ndarray:
-    """Distances from column p of the parts-first rows t to every column."""
-    step = max(1, _TILE_FLOATS // t.shape[0])
-    out = np.empty(t.shape[1])
-    for c0 in range(0, t.shape[1], step):
-        out[c0 : c0 + step] = kernel(t[:, c0 : c0 + step], t[:, p, None])
+def _geometry(parts: int, rows: int, pruned: bool) -> tuple[int, int, int]:
+    """(height, width, span) of _walk's blocks, tiles and strips, in every mode.
+
+    A tile is as wide as the budget allows, but in a pruned walk, which
+    takes its columns a block at a time, no wider than a block. A strip is
+    never narrower than a block, so a walk's diagonal block lies in one.
+    """
+    cap = _WALK_ROWS if pruned else _BLOCK_ROWS
+    height = max(1, min(cap, _TILE_FLOATS // parts, rows))
+    width = max(1, _TILE_FLOATS // (parts * height))
+    if pruned:
+        width = min(width, height)
+    return height, width, max(height, _TILE_FLOATS // height)
+
+
+def _distances(queries: np.ndarray, rows: np.ndarray, spec: MetricSpec) -> np.ndarray:
+    """The (m, n) matrix of distances from prepared queries to prepared rows."""
+    out = np.empty((queries.shape[0], rows.shape[0]))
+    # without kth the walk keeps the rows' order
+    for r, c, d in _walk(queries, rows, spec)[1]:
+        out[r, c] = d
     return out
 
 
-def _pivot_order(t: np.ndarray, kernel, size: int, pivots: int):
-    """(order, table): a walk order of t's columns and their pivot distances.
+def _pivot_order(rows: np.ndarray, spec: MetricSpec, size: int):
+    """(order, table): a walk order of the prepared rows and their pivot distances.
 
-    The pivots are picked farthest first: the row farthest from row 0,
+    _PIVOTS pivots are picked farthest first: the row farthest from row 0,
     then each time the row farthest from row 0 and the pivots so far (the
-    first such row on ties). table[i] holds the distances of row order[i]
-    to the pivots. The order is a kd split of those rows: a range of more
-    than one block of size rows is sorted (stably) by the pivot distance
-    that spreads it most and cut at a block boundary near its middle, so
-    each block holds rows close in every pivot distance.
+    first such row on ties); each one's distances are a one-row query
+    walk. table[i] holds the distances of row order[i] to the pivots. The
+    order is a kd split of those rows: a range of more than one block of
+    size rows is sorted (stably) by the pivot distance that spreads it most
+    and cut at a block boundary near its middle, so each block holds rows
+    close in every pivot distance.
     """
-    n = t.shape[1]
+    n = rows.shape[0]
     order = np.arange(n)
-    if not pivots:
-        return order, None
-    table = np.empty((n, pivots))
-    far = _distances_to(t, kernel, 0)
-    for i in range(pivots):
-        table[:, i] = _distances_to(t, kernel, int(far.argmax()))
+    table = np.empty((n, _PIVOTS))
+    far = _distances(rows[:1], rows, spec)[0]
+    for i in range(_PIVOTS):
+        p = int(far.argmax())
+        table[:, i] = _distances(rows[p : p + 1], rows, spec)[0]
         np.minimum(far, table[:, i], out=far)
     todo = [(0, n)]
     while todo:
@@ -208,75 +177,69 @@ def _pivot_order(t: np.ndarray, kernel, size: int, pivots: int):
     return order, table[order]
 
 
-def _walk(rows: np.ndarray, spec: MetricSpec, kth=None, exclude_self=False):
-    """(order, items): rows against themselves, each pair of blocks at most once.
+def _walk(queries, rows, spec: MetricSpec, kth=None, exclude_self=False):
+    """(order, items): the strips of distances from queries to rows.
 
-    rows is prepared by spec.prepare. The walk takes the rows in order, a
-    permutation of their indices (None: their own order), cut into blocks
-    of consecutive positions. items yields (r, c, d): d[i, j] is the
-    distance between the rows at positions r (a slice or an index array)
-    and the rows of indices c. Each row block is broadcast once to the
-    tile width and measured against strips of at most _TILE_FLOATS
-    distances, by kernel tiles within the float budget; then the part of
-    a strip that lies past the row block in the walk is yielded again,
-    transposed, for its rows. All kernels are bitwise symmetric, so that
-    mirror equals measuring them; a diagonal block is computed in full
-    (angular has d(x, x) > 0), with its diagonal set to inf under
-    exclude_self. An item is valid until the next.
+    Both are prepared by spec.prepare. items yields (r, c, d): d[i, j] is
+    the distance from the query rows at positions r (a slice or an index
+    array) to the rows of indices c, in one strip buffer, so an item is
+    valid until the next. _geometry sizes blocks, tiles and strips, and each
+    entry equals an unblocked kernel call's. There are three modes:
 
-    Without kth, the rows keep their order, in blocks of _BLOCK_ROWS, and
-    each row block is measured against the columns from its own on. With
-    kth, the running k-th distance of the row at each position, which the
-    caller updates between items, the walk prunes by LAESA's pivot
-    elimination (Mico, Oncina & Vidal 1994), per tile. For any pivot p,
-    d(x, w) >= |d(x, p) - d(w, p)| - slack (MetricSpec.triangle_slack), so
-    the largest gap, over the pivots, between x's pivot distance and a
-    block's interval of them, less the slack, bounds the distance from x to
-    every row of that block from below; the least such bound over a row
-    block's rows bounds the pair of blocks. Rows are ordered by
-    _pivot_order into blocks of _WALK_ROWS. Each row block visits the
-    blocks not yet measured with it in increasing bound, its own first, a
-    strip of whole blocks at a time, and stops once the bound exceeds the
-    largest k-th distance of its rows; a block whose bound for every row
-    exceeds that row's k-th distance is skipped. Either way no row can gain
-    a neighbour there: a distance equal to a k-th distance may still enter
-    with a lower row index, but a larger one cannot. Earlier blocks have
-    stopped for good, so a strip is mirrored only into later ones. Angular
-    has no slack and visits every pair without pivots.
+    * Query (queries is not rows): each block of query rows against every
+      column, from the first. One query row stays one column wide.
+    * Self walk (queries is rows): each row block against the columns from
+      its own on; the part of a strip past the row block is yielded again,
+      transposed, for its rows, as all kernels are bitwise symmetric. A
+      diagonal block is computed in full (angular has d(x, x) > 0), its
+      diagonal set to inf under exclude_self.
+    * Pruned self walk (kth given: the running k-th distance of the row at
+      each position, updated by the caller between items): LAESA's pivot
+      elimination (Mico, Oncina & Vidal 1994). For any pivot p, d(x, w) >=
+      |d(x, p) - d(w, p)| - slack (MetricSpec.triangle_slack), so the
+      largest gap, over the pivots, between x's pivot distance and a block's
+      interval of them, less the slack, bounds x's distance to that block;
+      the least over a row block's rows bounds the pair of blocks. Rows go
+      in _pivot_order, returned as order (else None). Each row block visits
+      the blocks not yet measured with it in increasing bound, its own
+      first, a strip of whole blocks at a time, and stops once the bound
+      exceeds the largest k-th distance of its rows; a block whose bound for
+      every row exceeds that row's k-th distance is skipped. Either way no
+      row can gain a neighbour there: an equal distance may still enter
+      with a lower row index, a larger one cannot. Earlier blocks have
+      stopped for good, so a strip is mirrored only into later ones.
+      Angular has no slack and is walked unpruned.
 
-    Memory is O(n * pivots) for the order and the bounds, one bit per pair
-    of blocks, and one strip with its buffers. When done, the walk logs
-    the block pairs computed and skipped, and the pivots, at DEBUG.
+    Memory is one strip with its buffers, plus for a pruned walk O(n *
+    pivots) for the order and bounds and one bit per pair of blocks. A self
+    walk logs the block pairs computed and skipped, and the pivots, at DEBUG.
     """
     kernel = spec.kernel
+    walk = queries is rows
     t = np.ascontiguousarray(rows.T)
     parts, n = t.shape
+    m = queries.shape[0]
     slack = None if kth is None else spec.triangle_slack(parts)
     pivots = 0 if slack is None else _PIVOTS
-    size = _WALK_ROWS if pivots else _BLOCK_ROWS
-    width = max(1, min(size, _TILE_FLOATS // (parts * size)))
-    span = max(size, _TILE_FLOATS // size)
-    order, table = _pivot_order(t, kernel, size, pivots)
-    starts = list(range(0, n, size))
-    stops = starts[1:] + [n]
+    height, width, span = _geometry(parts, m, pivots > 0)
+    starts = list(range(0, m, height))
+    stops = starts[1:] + [m]
     blocks = len(starts)
+    order = np.arange(n)
     if pivots:
+        order, table = _pivot_order(t.T, spec, height)
         t = t[:, order]
         lo = np.minimum.reduceat(table, starts).T[:, None, :].copy()
         hi = np.maximum.reduceat(table, starts).T[:, None, :].copy()
-    # measured[c] has bit a set when block a < c measured the pair (a, c)
-    measured = np.zeros((blocks, (blocks + 7) // 8), dtype=np.uint8)
-    computed = 0
+        # measured[c] has bit a set when block a < c measured the pair (a, c)
+        measured = np.zeros((blocks, (blocks + 7) // 8), dtype=np.uint8)
+        computed = 0
+    q = t if walk else np.ascontiguousarray(queries.T)
 
-    def strips(a):
-        """Runs of positions to measure row block a against, one list per strip."""
+    def pruned(a):
+        """Runs of columns to measure row block a against, one list per strip."""
         nonlocal computed
         a0, a1 = starts[a], stops[a]
-        if not pivots:
-            computed += blocks - a
-            for s0 in range(a0, n, span):
-                yield [(s0, min(s0 + span, n))]
-            return
         # each row's bound to each block, less the slack; a block's bound is
         # the least of its rows'
         own = table[a0:a1].T[:, :, None]
@@ -320,13 +283,17 @@ def _walk(rows: np.ndarray, spec: MetricSpec, kth=None, exclude_self=False):
                 yield runs
 
     def items():
-        block = np.empty((parts, size, width))
-        strip = np.empty((size, min(span, n)))
+        block = np.empty((parts, height, width if height > 1 else 1))
+        strip = np.empty((height, min(span, n)))
         for a in range(blocks):
             a0, a1 = starts[a], stops[a]
             h = a1 - a0
-            block[:, :h] = t[:, a0:a1, None]
-            for runs in strips(a):
+            block[:, :h] = q[:, a0:a1, None]
+            first = a0 if walk else 0  # unpruned, a walk starts at its own columns
+            strips = pruned(a) if pivots else [
+                [(s0, min(s0 + span, n))] for s0 in range(first, n, span)
+            ]
+            for runs in strips:
                 w0 = 0
                 for b0, b1 in runs:
                     for c0 in range(b0, b1, width):
@@ -337,21 +304,24 @@ def _walk(rows: np.ndarray, spec: MetricSpec, kth=None, exclude_self=False):
                         strip[np.arange(h), w0 + a0 - b0 + np.arange(h)] = np.inf
                     w0 += b1 - b0
                 d = strip[:h, :w0]
-                cols = np.concatenate([order[b0:b1] for b0, b1 in runs])
+                cols = order[b0:b1] if len(runs) == 1 else np.concatenate(
+                    [order[c0:c1] for c0, c1 in runs]
+                )
                 yield slice(a0, a1), cols, d
-                later = [(max(b0, a1), b1) for b0, b1 in runs if b1 > a1]
+                later = [(max(b0, a1), b1) for b0, b1 in runs if walk and b1 > a1]
                 if later:
                     mirror = sum(b1 - b0 for b0, b1 in later)
-                    if len(later) == 1:
-                        r = slice(*later[0])
-                    else:
-                        r = np.concatenate([np.arange(b0, b1) for b0, b1 in later])
+                    r = slice(*later[0]) if len(later) == 1 else np.concatenate(
+                        [np.arange(b0, b1) for b0, b1 in later]
+                    )
                     yield r, order[a0:a1], d[:, w0 - mirror :].T
-        total = blocks * (blocks + 1) // 2
-        _debug(
-            "self walk: %d of %d block pairs computed, %d skipped, %d pivots",
-            computed, total, total - computed, pivots,
-        )
+        if walk:
+            total = blocks * (blocks + 1) // 2
+            done = computed if pivots else total
+            _debug(
+                "self walk: %d of %d block pairs computed, %d skipped, %d pivots",
+                done, total, total - done, pivots,
+            )
 
     return (order if pivots else None), items()
 
@@ -361,10 +331,10 @@ def _nearest(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each query row's first kmax training columns by (distance, row index).
 
-    Rows are prepared by spec.prepare; pass the same array as queries and
-    train to measure a dataset against itself by _walk, so each pair of
-    blocks is computed at most once, and pruned where that pays (from
-    _PRUNE_ROWS rows, kmax at most a _PRUNE_SHARE-th of them). With
+    Rows are prepared by spec.prepare and measured by _walk; pass the same
+    array as queries and train to walk a dataset against itself, so each
+    pair of blocks is computed at most once, and pruned where that pays
+    (from _PRUNE_ROWS rows, kmax at most a _PRUNE_SHARE-th of them). With
     exclude_self (for queries that are train), row i is never its own
     neighbour (the LOOCV diagonal, masked inside its tile).
 
@@ -389,14 +359,8 @@ def _nearest(
         )
     best = np.full((queries.shape[0], kmax), complex(np.inf, n))
     kth = np.full(queries.shape[0], np.inf)
-    if queries is train:
-        prune = n >= _PRUNE_ROWS and kmax * _PRUNE_SHARE <= n
-        order, items = _walk(train, spec, kth if prune else None, exclude_self)
-    else:
-        order, items = None, (
-            (slice(r0, r0 + d.shape[0]), np.arange(c0, c0 + d.shape[1]), d)
-            for r0, c0, d in _tiles(queries, train, spec)
-        )
+    prune = queries is train and n >= _PRUNE_ROWS and kmax * _PRUNE_SHARE <= n
+    order, items = _walk(queries, train, spec, kth if prune else None, exclude_self)
     # the keys of every merge, grown as needed: a strip's keys pass 128 KiB,
     # and a fresh array per merge is faulted in again (17.6k against 11.6k
     # minor faults in an esov roc on 3,000 rows)
@@ -430,7 +394,7 @@ def _nearest(
 def _training_rows(train: LabeledDataset, spec: MetricSpec) -> np.ndarray:
     """train.rows prepared by spec, once per (dataset, spec): kept on the dataset.
 
-    The rows are stored parts-first, as _tiles reads them, and returned as
+    The rows are stored parts-first, as _walk reads them, and returned as
     the transposed (n, D) view.
     """
     rows = train._prepared_rows.get(spec)
@@ -445,7 +409,7 @@ def _training_rows(train: LabeledDataset, spec: MetricSpec) -> np.ndarray:
 def _prepared(train: LabeledDataset, queries, spec: MetricSpec):
     """(query rows, training rows) prepared by spec; queries is one row or a stack.
 
-    queries that are train.rows itself are returned as both, so _tiles
+    queries that are train.rows itself are returned as both, so _walk
     computes each pair once.
     """
     if queries is train.rows:
@@ -475,15 +439,7 @@ def pairwise_distances(
     strip, so no (m, n, D) temporary is built; for queries that are
     train.rows itself each pair is computed once and mirrored.
     """
-    prepared, train_rows = _prepared(train, queries, spec)
-    out = np.empty((prepared.shape[0], train_rows.shape[0]))
-    if prepared is train_rows:
-        # without kth the walk keeps the rows' order, and its rows are slices
-        for rows, cols, d in _walk(train_rows, spec)[1]:
-            out[rows, cols] = d
-    else:
-        for r0, c0, d in _tiles(prepared, train_rows, spec):
-            out[r0 : r0 + d.shape[0], c0 : c0 + d.shape[1]] = d
+    out = _distances(*_prepared(train, queries, spec), spec)
     return out[0] if np.ndim(queries) == 1 else out
 
 

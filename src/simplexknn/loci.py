@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LabeledDataset
 from .errors import DimensionMismatch
 from .metrics import MetricSpec
-from .simplex import _checked_power_transform
 
 __all__ = [
     "ternary_embed",
-    "transform_dataset",
     "DistanceField",
     "distance_field",
     "DEFAULT_RESOLUTION",
@@ -42,16 +39,6 @@ def ternary_embed(c) -> np.ndarray:
     if c.ndim == 0 or c.shape[-1] != 3:
         raise DimensionMismatch(f"ternary embedding needs 3 parts, got {c.shape}")
     return np.stack([c[..., 1] + 0.5 * c[..., 2], _HEIGHT * c[..., 2]], axis=-1)
-
-
-def transform_dataset(data: LabeledDataset, alpha: float) -> np.ndarray:
-    """Power-transform every row of a 3-part dataset and embed it: (n, 2)."""
-    if data.n_parts != 3:
-        raise DimensionMismatch(
-            f"ternary transform needs 3-part data, got D={data.n_parts}"
-        )
-    rows = _checked_power_transform(data.rows, alpha, "dataset", data.feature_names)
-    return ternary_embed(rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,8 +86,9 @@ class TestPairwiseDistances:
     )
     @pytest.mark.parametrize("tiles", [None, (5, 7)], ids=["default", "5x7"])
     def test_kernels_are_bitwise_symmetric(self, monkeypatch, spec, tiles):
-        # _tiles mirrors d(x_i, x_j) into d(x_j, x_i) for a dataset measured
-        # against itself; that is exact only if every kernel is
+        # _walk mirrors d(x_i, x_j) into d(x_j, x_i) for a dataset measured
+        # against itself, and measures a pivot's distances from the pivot
+        # side; that is exact only if every kernel is
         if tiles is not None:
             monkeypatch.setattr(knn, "_BLOCK_ROWS", tiles[0])
             monkeypatch.setattr(knn, "_TILE_FLOATS", tiles[0] * tiles[1] * 9)
@@ -98,6 +99,9 @@ class TestPairwiseDistances:
         assert np.array_equal(full, full.T)
         tiled = pairwise_distances(data, data.rows, spec)
         assert np.array_equal(full, tiled.view(np.int64))
+        # the same values as queries: every pair measured, none mirrored
+        queried = pairwise_distances(data, data.rows.copy(), spec)
+        assert np.array_equal(full, queried.view(np.int64))
 
     @pytest.mark.parametrize(
         "spec",
@@ -376,17 +380,16 @@ def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, exclude_self)
     # on 60 rows: strips do not divide n, the last strip of the first row
     # block is exactly one tile, and strips are mirrored with the diagonal
     # masked. Reversed, a row meets its higher columns first, so a tied
-    # candidate with a lower row index arrives after its rival. A dataset
-    # against itself takes the walk, whose strips are all yielded up front
-    # here, before any k-th distance is known, so nothing is pruned.
+    # candidate with a lower row index arrives after its rival. Every item
+    # comes from _walk, whose strips are all yielded up front here, before
+    # any k-th distance is known, so nothing is pruned.
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 6 * 3)
     data = lattice_dataset(8, interior=False)
     train = spec.prepare(data.rows)
     n = len(train)
     assert (n, n % 18) == (60, 6)
-    tiles, walk = knn._tiles, knn._walk
-    monkeypatch.setattr(knn, "_tiles", lambda *args: _reversed(tiles(*args)))
+    walk = knn._walk
 
     def reversed_walk(*args):
         order, items = walk(*args)

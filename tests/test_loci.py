@@ -6,7 +6,6 @@ import pytest
 from simplexknn import (
     DegenerateInput,
     DimensionMismatch,
-    LabeledDataset,
     MetricSpec,
     NegativeComponent,
     ZeroInAitchison,
@@ -14,7 +13,6 @@ from simplexknn import (
     barycentre,
     distance_field,
     ternary_embed,
-    transform_dataset,
 )
 
 ROOT3 = math.sqrt(3.0)
@@ -61,45 +59,6 @@ class TestTernaryEmbed:
         pts = rng.dirichlet(np.ones(3), size=50)
         seen = {tuple(xy) for xy in ternary_embed(pts).tolist()}
         assert len(seen) == 50
-
-
-def tiny_ternary_dataset():
-    rng = np.random.default_rng(21)
-    rows = rng.dirichlet(np.ones(3), size=12) * 0.97 + 0.01
-    return LabeledDataset(rows, np.arange(12) % 2, ("u", "v"))
-
-
-class TestTransformDataset:
-    def test_alpha_one_is_raw_embedding(self):
-        data = tiny_ternary_dataset()
-        points = transform_dataset(data, 1.0)
-        assert points.shape == (len(data), 2)
-        for point, row in zip(points, data.rows):
-            raw = ternary_embed(row)
-            assert abs(point[0] - raw[0]) < 1e-15
-            assert abs(point[1] - raw[1]) < 1e-15
-
-    def test_alpha_near_zero_collapses_to_centroid(self):
-        data = tiny_ternary_dataset()
-        centre = ternary_embed(barycentre(3))
-        for point in transform_dataset(data, 1e-8):
-            assert abs(point[0] - centre[0]) <= 1e-6
-            assert abs(point[1] - centre[1]) <= 1e-6
-
-    def test_negative_alpha_requires_positive_rows(self):
-        data = tiny_ternary_dataset()
-        assert len(transform_dataset(data, -1.0)) == 12
-        with_zero = LabeledDataset(
-            np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]), [0, 1], ("u", "v"), "abc"
-        )
-        msg = "^dataset row 0, column c is zero under alpha=-1$"
-        with pytest.raises(ZeroUnderNegativePower, match=msg):
-            transform_dataset(with_zero, -1.0)
-
-    def test_needs_three_parts(self):
-        bad = LabeledDataset(np.full((2, 4), 0.25), [0, 1], ("u", "v"))
-        with pytest.raises(DimensionMismatch):
-            transform_dataset(bad, 1.0)
 
 
 class TestDistanceField:

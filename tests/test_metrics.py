@@ -306,7 +306,7 @@ def test_kernels_equal_the_parts_last_formulas(spec, d):
     xt = np.ascontiguousarray(x.T)
     tile = spec.kernel(xt[:, :, None], xt[:, None, :])
     assert np.array_equal(tile.view(np.int64), want)
-    # knn._tiles' layout: the rows broadcast once into a (D, rows, width)
+    # knn._walk's layout: the rows broadcast once into a (D, rows, width)
     # buffer, sliced to each tile's columns, against a (D, 1, columns) view
     for width in (len(x), len(x) + 3):
         block = np.empty((d, len(x), width))

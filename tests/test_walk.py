@@ -132,8 +132,41 @@ def test_angular_visits_every_pair(small_walk, caplog):
         _nearest(rows, rows, spec, 1, True)
     (_, total, skipped, _), angular = walk_records(caplog)
     assert skipped > 0  # the same rows under a metric prune
-    blocks = -(-len(raw) // knn._BLOCK_ROWS)  # no pivots: blocks of _BLOCK_ROWS
+    height, _, _ = knn._geometry(raw.shape[1], len(raw), pruned=False)
+    blocks = -(-len(raw) // height)
     assert angular == (blocks * (blocks + 1) // 2, blocks * (blocks + 1) // 2, 0, 0)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=repr)
+def test_pivot_distances_equal_the_distance_matrix(spec):
+    # a pivot's distances are a one-row query walk, the pivot on the query
+    # side: the kernels' bitwise symmetry makes them the matrix's rows
+    raw = tie_rows("random", spec.needs_positive, seed=9)
+    data = LabeledDataset(raw, np.arange(len(raw)) % 3, ("a", "b", "c"))
+    full = pairwise_distances(data, data.rows, spec)
+    order, table = knn._pivot_order(spec.prepare(raw), spec, 5)
+    assert np.array_equal(np.sort(order), np.arange(len(raw)))
+    far = full[0].copy()  # farthest first, from row 0
+    for i in range(knn._PIVOTS):
+        p = far.argmax()
+        assert np.array_equal(table[:, i].view(np.int64), full[p, order].view(np.int64))
+        np.minimum(far, full[p], out=far)
+
+
+def test_geometry(monkeypatch):
+    # (height, width, span) on 8 parts: classify's one row, a block of
+    # queries or an unpruned walk, and a pruned walk
+    assert knn._geometry(8, 1, pruned=False) == (1, 1920, 15360)
+    assert knn._geometry(8, 214, pruned=False) == (64, 30, 240)
+    assert knn._geometry(8, 3000, pruned=True) == (40, 40, 384)
+    # a diagonal block fits in one strip, whatever the budget
+    for floats in (knn._TILE_FLOATS, 200, 8):
+        monkeypatch.setattr(knn, "_TILE_FLOATS", floats)
+        for parts in (1, 3, 8, 130, 20000):
+            for rows in (1, 7, 64, 3000):
+                for pruned in (False, True):
+                    height, width, span = knn._geometry(parts, rows, pruned)
+                    assert 1 <= height <= rows and width >= 1 and span >= height
 
 
 def test_one_record_per_walk_and_none_for_queries(caplog):
