@@ -14,6 +14,8 @@ seeded: identical inputs give bit-identical outputs.
 
 __version__ = "0.1.0"
 
+from importlib import import_module
+
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -26,39 +28,42 @@ from .errors import (
     ZeroInAitchison,
     ZeroUnderNegativePower,
 )
-from .simplex import as_composition, barycentre, closure, perturb, power_transform
-from .metrics import (
-    FAMILIES,
-    MetricSpec,
-    aitchison_distance,
-    angular_distance,
-    distance,
-    esov_alpha_distance,
-    esov_distance,
-    hellinger_distance,
-    taxicab_alpha_distance,
-    taxicab_distance,
-)
-from .dataset import LabeledDataset, ingest_csv, write_csv
-from .knn import NeighborConfig, classify, membership_scores, pairwise_distances
-from .evaluation import (
-    GridCell,
-    GridResult,
-    RocCurve,
-    allocate_test_counts,
-    auc,
-    confusion_matrix,
-    grid_search,
-    loocv_scores,
-    roc_curve,
-    sensitivity_specificity,
-    stratified_holdout,
-)
-from .loci import (
-    DistanceField,
-    distance_field,
-    ternary_embed,
-)
+
+# Every other public name loads its module on first use (PEP 562), so
+# `import simplexknn` loads no numpy: a program that imports the package
+# first can still fix numpy's thread pool in its environment, as cli does.
+_HOMES = {
+    "simplex": ("closure", "as_composition", "power_transform", "perturb", "barycentre"),
+    "metrics": (
+        "FAMILIES",
+        "MetricSpec",
+        "esov_distance",
+        "esov_alpha_distance",
+        "taxicab_distance",
+        "taxicab_alpha_distance",
+        "aitchison_distance",
+        "hellinger_distance",
+        "angular_distance",
+        "distance",
+    ),
+    "dataset": ("LabeledDataset", "ingest_csv", "write_csv"),
+    "knn": ("NeighborConfig", "pairwise_distances", "classify", "membership_scores"),
+    "evaluation": (
+        "allocate_test_counts",
+        "stratified_holdout",
+        "confusion_matrix",
+        "sensitivity_specificity",
+        "GridCell",
+        "GridResult",
+        "grid_search",
+        "loocv_scores",
+        "RocCurve",
+        "roc_curve",
+        "auc",
+    ),
+    "loci": ("ternary_embed", "DistanceField", "distance_field"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "__version__",
@@ -73,46 +78,17 @@ __all__ = [
     "InfeasibleStratification",
     "UndefinedRoc",
     "IngestionError",
-    # simplex
-    "closure",
-    "as_composition",
-    "power_transform",
-    "perturb",
-    "barycentre",
-    # metrics
-    "FAMILIES",
-    "MetricSpec",
-    "esov_distance",
-    "esov_alpha_distance",
-    "taxicab_distance",
-    "taxicab_alpha_distance",
-    "aitchison_distance",
-    "hellinger_distance",
-    "angular_distance",
-    "distance",
-    # data
-    "LabeledDataset",
-    "ingest_csv",
-    "write_csv",
-    # knn
-    "NeighborConfig",
-    "pairwise_distances",
-    "classify",
-    "membership_scores",
-    # evaluation
-    "allocate_test_counts",
-    "stratified_holdout",
-    "confusion_matrix",
-    "sensitivity_specificity",
-    "GridCell",
-    "GridResult",
-    "grid_search",
-    "loocv_scores",
-    "RocCurve",
-    "roc_curve",
-    "auc",
-    # loci
-    "ternary_embed",
-    "DistanceField",
-    "distance_field",
+    *_HOME,
 ]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_HOME))

@@ -13,15 +13,24 @@ comma list. Note that values starting with a minus sign must be attached
 with '=', e.g. --alphas=-1:1:0.1. Every JSON report (or .meta.json sidecar
 of a CSV) echoes the tool version, the full configuration and the seed, so
 any output can be regenerated bit-identically.
+
+The CLI runs numpy's OpenBLAS with one thread unless OPENBLAS_NUM_THREADS is
+already set: every command is single-threaded, and an idle pool's workers
+busy-wait, costing CPU time in each process. Importing the library leaves the
+variable alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+# before numpy loads, which sizes the pool once; a value the caller set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

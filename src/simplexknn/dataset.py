@@ -136,7 +136,8 @@ def _read_csv(
 ) -> tuple[LabeledDataset, list[str]]:
     """ingest_csv plus the drop columns that were present in the header."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark of an Excel "CSV UTF-8" export
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -609,6 +609,53 @@ def test_cli_leaves_hashlib_unloaded(tmp_path):
     assert (tmp_path / "field.csv").exists()
 
 
+def _child_env(**env) -> dict:
+    """os.environ without OPENBLAS_NUM_THREADS (importing cli here set it), plus env."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return dict(base, PYTHONPATH=str(Path(simplexknn.__file__).parents[1]), **env)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_process_runs_one_blas_thread():
+    """The CLI sizes OpenBLAS's pool before numpy loads: no idle worker spins."""
+    code = (
+        "import os, simplexknn.cli\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+
+@pytest.mark.parametrize("code, env, expected", [
+    ("import simplexknn.cli", {"OPENBLAS_NUM_THREADS": "3"}, "3"),  # the caller's wins
+    ("import simplexknn, numpy\nfrom simplexknn import *", {}, None),  # the library sets none
+])
+def test_blas_thread_setting_is_the_callers(code, env, expected):
+    code += "\nimport os\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(**env),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(expected)
+
+
+def test_transform_ignores_a_byte_order_mark(tmp_path):
+    """An Excel "CSV UTF-8" export, label first, transforms as the file without its BOM."""
+    text = "kind,a,b,c\nx,0.2,0.3,0.5\ny,5,2.5,2.5\n".encode()
+    outputs = []
+    for name, blob in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.out.csv"
+        src.write_bytes(blob)
+        assert main(["transform", "--input", str(src), "--label-column", "kind",
+                     "--alpha", "0.5", "--output", str(out)]) == 0
+        meta = json.loads((tmp_path / f"{name}.out.csv.meta.json").read_text(encoding="utf-8"))
+        assert meta["config"]["columns_used"] == ["a", "b", "c"]
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(b"a,b,c,kind,x,y\r\n")
+
+
 def test_utf8_files_whatever_the_locale(tmp_path):
     """Input and output are UTF-8 even where the locale's encoding is ASCII."""
     label = "argile-limoneuseé"

@@ -82,6 +82,16 @@ class TestIngest:
         data = ingest_csv(write(tmp_path, text), "Type")
         assert (data.rows == 0).sum() == 2
 
+    @pytest.mark.parametrize("text", [GOOD, "Type,Na,Mg,Fe\na,70,20,10\nb,1,1,2\n"])
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, text):
+        """An Excel "CSV UTF-8" file starts with a BOM, on a part or the label."""
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        data = ingest_csv(path, "Type")
+        assert data.feature_names == ("Na", "Mg", "Fe")
+        assert data.classes == ("a", "b")
+        np.testing.assert_array_equal(data.rows, ingest_csv(write(tmp_path, text), "Type").rows)
+
 
 class TestBlockedIngest:
     """Parsing in blocks of _READ_ROWS rows changes no value and no message."""
