@@ -46,6 +46,7 @@ from .simplex import _checked_power_transform, barycentre
 __all__ = ["main", "build_parser", "parse_grid"]
 
 _GRID_EPS = 1e-12
+_GRID_STEPS = 10_000  # per range: a tiny step would loop until memory runs out
 
 
 def _snap(value: float) -> float:
@@ -73,6 +74,8 @@ def parse_grid(text: str, integer: bool = False) -> list:
                 raise ValueError(f"grid step must be positive in {chunk!r}")
             if end < start - _GRID_EPS:
                 raise ValueError(f"grid end below start in {chunk!r}")
+            if (end - start) / step > _GRID_STEPS:  # may be inf
+                raise ValueError(f"grid range {chunk!r} takes over {_GRID_STEPS} steps")
             i = 0
             while True:
                 v = start + i * step

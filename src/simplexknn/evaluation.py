@@ -240,10 +240,17 @@ class GridResult:
         raise KeyError(f"no cell for alpha={alpha!r}, k={k}")
 
     def best(self) -> GridCell:
-        """The cell with the highest mean accuracy (first on ties)."""
+        """The cell with the highest mean accuracy (first on ties).
+
+        If every cell failed, the error names the first one's alpha and cause.
+        """
         scored = [c for c in self.cells if c.error is None]
         if not scored:
-            raise SimplexKnnError("every grid cell failed")
+            message = "every grid cell failed"
+            if self.cells:
+                first = self.cells[0]
+                message += f", the first at alpha={first.alpha}: {first.error}"
+            raise SimplexKnnError(message)
         return max(scored, key=lambda c: c.mean_accuracy)
 
     def to_dict(self) -> dict:

@@ -13,8 +13,8 @@ reproducible across runs, platforms and thread schedules:
     same tie rules reproduces classify();
   * one vote serves classify, LOOCV and tune: it reads the ranked neighbours
     neighbour-major, so every query's first k form one prefix, decides the
-    smallest k over class-first (C, m) counts and distance sums, and reaches
-    any larger k by a running winner, one rank at a time.
+    smallest k over class-first (C, m) keys (-count, distance sum), and
+    reaches any larger k by a running winner, one rank at a time.
 
 Every distance is measured by one engine, _walk, in strips: one block of
 query rows against a run of whole kernel tiles of columns. A tile is sized
@@ -452,39 +452,31 @@ def _vote(
     """Vote among the first k ranked neighbours of each query, for every k in ks.
 
     ranked_dists and ranked_labels are (kmax, m), neighbour-major. Returns
-    (winners (K, m), class counts (C, m) of the largest k). For the smallest
-    k, bincounts over the prefix give each (class, query) count and distance
-    sum, added in neighbour order; over the class axis 0, argmin takes the
-    first class with the smallest sum among those with the most votes
-    (module rules). Larger ks are reached by a running winner, one rank at
-    a time: each rank adds its neighbour to its class's count and sum, in
-    place and in neighbour order, so every sum keeps its bits. That class
-    is the only one whose standing changed, and it only gained, so it is
-    the only one that can displace the winner: it does when its key
-    (-count, sum) is smaller than the winner's (complex keys order
-    lexicographically), or equal with a lower class index. A single k
-    never walks.
+    (winners (K, m), class counts (C, m) of the largest k). Each (class,
+    query) cell holds one key, -count + 1j * distance sum, which numpy
+    orders lexicographically, so the smallest key wins (module rules). The
+    smallest k's keys come from bincounts over the prefix, added in
+    neighbour order, and argmin over the class axis 0 gives a tie to the
+    lower class. Larger ks are reached by a running winner: each rank adds
+    its neighbour to its class's key in place, so every sum keeps its bits,
+    and that class, the only one to gain, displaces the winner when its key
+    is smaller, or equal with a lower class index.
     """
     m = np.shape(ranked_labels)[1]
     cells = (ranked_labels * m + np.arange(m)).ravel()
     dists = np.ravel(ranked_dists)
     k = min(ks)
     prefix = cells[: k * m]
-    counts = np.bincount(prefix, minlength=n_classes * m).reshape(n_classes, m)
-    sums = np.bincount(prefix, dists[: k * m], n_classes * m).reshape(n_classes, m)
-    winner = np.where(counts == counts.max(axis=0), sums, np.inf).argmin(axis=0)
-    if len(ks) == 1:
-        return winner[None], counts
+    keys = np.empty(n_classes * m, dtype=complex)
+    keys.real = -np.bincount(prefix, minlength=n_classes * m)
+    keys.imag = np.bincount(prefix, dists[: k * m], n_classes * m)
     order = sorted(range(len(ks)), key=ks.__getitem__)
     winners = np.empty((len(ks), m), dtype=np.intp)
-    winners[order[0]] = winner
-    keys = np.empty(n_classes * m, dtype=complex)
-    keys.real = -counts.ravel()
-    keys.imag = sums.ravel()
+    winners[order[0]] = keys.reshape(n_classes, m).argmin(axis=0)
     step = np.empty(m, dtype=complex)
     step.real = -1.0
     # the winner's cell, label * m + query: for one query, cells order as labels
-    held = winner * m + np.arange(m)
+    held = winners[order[0]] * m + np.arange(m)
     for i in order[1:]:
         for r in range(k, ks[i]):
             cell = cells[r * m : (r + 1) * m]
@@ -502,8 +494,12 @@ def _vote(
 def _knn_vote(
     train: LabeledDataset, query, config: NeighborConfig
 ) -> tuple[int, np.ndarray]:
-    # one query row: a 2-D query becomes 3-D and fails the shared shape rule
-    prepared = _prepared(train, np.asarray(query, dtype=float)[None], config.spec)
+    query = np.asarray(query, dtype=float)
+    if query.ndim != 1:
+        raise DimensionMismatch(
+            f"query must be one composition (1-D), got shape {query.shape}"
+        )
+    prepared = _prepared(train, query[None], config.spec)
     indices, dists = _nearest(*prepared, config.spec, config.k)
     winners, counts = _vote(
         dists.T, train.labels[indices].T, (config.k,), train.n_classes

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .metrics import MetricSpec
+from .metrics import MetricSpec, distance
 
 __all__ = [
     "ternary_embed",
@@ -66,13 +66,13 @@ class DistanceField:
 
 
 def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
-    """Evaluate distance(spec, lattice point, reference) over the lattice."""
+    """distance(spec, lattice point, reference) over the lattice, in one call."""
     if n < 2:
         raise ValueError("grid resolution n must be at least 2")
     ref = np.asarray(reference, dtype=float)
     if ref.shape != (3,):
         raise DimensionMismatch(f"reference needs 3 parts, got shape {ref.shape}")
-    prepared_ref = spec.prepare(ref[None, :], "reference")
+    spec.prepare(ref[None, :], "reference")  # so an error names the reference
 
     ii, jj = np.triu_indices(n + 1)
     jj = jj - ii
@@ -85,7 +85,5 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
         spec=spec,
         reference=(float(ref[0]), float(ref[1]), float(ref[2])),
         parts=parts,
-        values=spec.kernel(
-            np.ascontiguousarray(spec.prepare(parts).T), prepared_ref.T
-        ),
+        values=distance(spec, parts, ref),
     )

@@ -20,8 +20,9 @@ validate the same way: MetricSpec.prepare closes rows that are off the
 simplex, as ingestion does, and rejects negative parts (NegativeComponent),
 non-finite parts, all-zero rows (DegenerateInput) and zero parts outside the
 metric's domain. The kernels in _KERNELS are plain arithmetic that assume
-rows prepared so, with the parts on the first axis: distance moves them
-there, and knn hands over tiles built that way. prepare also applies each
+rows prepared so, with the parts on the first axis. Only distance (loci's
+fields too) and knn._walk run a kernel: distance moves the parts there, and
+the walk hands over tiles built that way. prepare also applies each
 family's per-row transform (square roots for hellinger, centred log-ratio
 images for aitchison), so those kernels are plain L2 distances. Every sum
 over the parts runs through _part_sum, which spells out numpy's pairwise
@@ -41,8 +42,7 @@ from .errors import DimensionMismatch, ZeroInAitchison
 from .simplex import (
     SUM_TOLERANCE,
     _as_composition,
-    _power_transform,
-    _power_zero_rule,
+    _checked_power_transform,
     _validated,
 )
 
@@ -69,8 +69,8 @@ class MetricSpec:
     """A metric family plus its power parameter: the one home of per-family facts.
 
     alpha is meaningful only for the esov and tc families and is fixed at 1
-    for the others. Callers measure distances as kernel(prepare(x),
-    prepare(w)); prepare is also the one domain check.
+    for the others. A distance is kernel(prepare(x), prepare(w)), with the
+    parts moved to the first axis; prepare is also the one domain check.
     """
 
     family: str
@@ -99,7 +99,7 @@ class MetricSpec:
     def kernel(self):
         """The family's arithmetic; it assumes rows from prepare and checks nothing.
 
-        The public distance functions validate through distance.
+        Only distance and knn's walk call it.
         """
         return _KERNELS[self.family]
 
@@ -107,22 +107,19 @@ class MetricSpec:
         """rows checked against the domain and made ready for the kernel.
 
         Rows must be finite and non-negative and not all zero; where the
-        metric excludes zero parts, no part may be zero. Rows off the simplex
-        are closed, then power-transformed unless alpha is 1. Then each row
-        gets its family's transform, the parts staying on the last axis:
-        hellinger's rows become the square roots of their parts, aitchison's
-        their centred log-ratio images (see _clr). An error names the
+        metric excludes zero parts, no part may be zero. Unless alpha is 1,
+        _checked_power_transform checks and power-transforms them; else rows
+        off the simplex are closed and get their family's transform, the
+        parts staying on the last axis: hellinger's rows become the square
+        roots of their parts, aitchison's their centred log-ratio images (see
+        _clr). An error names the
         offending row of stacked input as "{role} row i" and the part by
         column name when names (one per column) is given, else by index.
         """
-        if self.family == "aitchison":
-            zero = ZeroInAitchison, "is zero"
-        else:
-            zero = _power_zero_rule(self.alpha)  # alpha is 1 outside POWER_FAMILIES
-        rows = _validated(rows, role, names, zero)
-        if self.alpha != 1.0:
-            return _power_transform(rows, self.alpha)
-        rows = _as_composition(rows)
+        if self.alpha != 1.0:  # a power family
+            return _checked_power_transform(rows, self.alpha, role, names)
+        zero = (ZeroInAitchison, "is zero") if self.family == "aitchison" else None
+        rows = _as_composition(_validated(rows, role, names, zero))
         if self.family == "hellinger":
             return np.sqrt(rows)
         if self.family == "aitchison":
@@ -380,10 +377,9 @@ def distance(spec: MetricSpec, x, w):
     nd = max(x.ndim, w.ndim)
     if nd > 1:
         # pad both to nd axes, as broadcasting would, then move the parts
-        # first; a pair of 1-D rows is parts-first already
-        order = (nd - 1, *range(nd - 1))
+        # first, contiguous, so the kernels read no strided views
         x, w = (
-            a.reshape((1,) * (nd - a.ndim) + a.shape).transpose(order)
+            np.ascontiguousarray(np.moveaxis(a[(None,) * (nd - a.ndim)], -1, 0))
             for a in (x, w)
         )
     return spec.kernel(x, w)

@@ -121,17 +121,14 @@ def power_transform(x, alpha: float) -> np.ndarray:
 
 
 def _checked_power_transform(x, alpha: float, role="composition", names=None):
-    """power_transform, naming a fault's row and part as _validated does."""
+    """power_transform naming a fault's row and part, as _validated does: the
+    one validate-and-power routine, which MetricSpec.prepare also calls."""
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    return _power_transform(_validated(x, role, names, _power_zero_rule(alpha)), alpha)
-
-
-def _power_zero_rule(alpha: float):
-    """_validated's zero rule for power alpha: zero parts fail only at alpha < 0."""
+    zero = None  # zero parts fail only at alpha < 0
     if alpha < 0:
-        return ZeroUnderNegativePower, f"is zero under alpha={alpha:g}"
-    return None
+        zero = ZeroUnderNegativePower, f"is zero under alpha={alpha:g}"
+    return _power_transform(_validated(x, role, names, zero), alpha)
 
 
 def _power_transform(x: np.ndarray, alpha: float) -> np.ndarray:

@@ -74,6 +74,18 @@ class TestParseGrid:
         with pytest.raises(ValueError, match="k must be a positive integer"):
             parse_grid(text, integer=True)
 
+    @pytest.mark.parametrize(
+        "text, integer", [("-1:1:1e-300", False), ("1:1e9", True), ("0:10001", False)]
+    )
+    def test_range_of_too_many_steps_rejected(self, text, integer):
+        # checked before the loop, which would run for ever or exhaust memory
+        message = f"grid range '{text}' takes over 10000 steps"
+        with pytest.raises(ValueError, match=message):
+            parse_grid(text, integer=integer)
+
+    def test_range_of_the_most_steps_accepted(self):
+        assert len(parse_grid("0:10000")) == 10001
+
     @pytest.mark.parametrize("text", ["1:inf", "0:1:nan", "nan:1", "-inf:1:0.5"])
     @pytest.mark.parametrize("integer", [False, True])
     def test_non_finite_range_rejected(self, text, integer):
@@ -174,6 +186,23 @@ class TestTuneCommand:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.json").exists()
+
+    def test_every_cell_failing_names_the_cause(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("a,b,c,kind\n0.2,0.3,0.5,x\n0,0.2,0.8,y\n"
+                        "0.3,0.3,0.4,x\n0.1,0.6,0.3,y\n")
+        out = tmp_path / "x.json"
+        rc = main(
+            ["tune", "--input", str(path), "--label-column", "kind",
+             "--family", "aitchison", "--k", "1", "--test-n", "2", "--B", "2",
+             "--seed", "1", "--output", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: every grid cell failed, the first at alpha=None: "
+            "ZeroInAitchison: dataset row 1, column a is zero\n"
+        )
+        assert not out.exists()
 
     def test_default_grid_yields_21_by_15_cells(self, data_csv, tmp_path):
         out = tmp_path / "grid.json"

@@ -8,6 +8,7 @@ from simplexknn import (
     LabeledDataset,
     MetricSpec,
     NeighborConfig,
+    SimplexKnnError,
     ZeroInAitchison,
     allocate_test_counts,
     confusion_matrix,
@@ -259,6 +260,21 @@ class TestGridSearch:
         assert bad.cells[0].error == "ZeroInAitchison: dataset row 17, column Mg is zero"
         with pytest.raises(ZeroInAitchison, match="dataset row 17, column Mg is zero"):
             loocv_scores(data, NeighborConfig(1, MetricSpec("aitchison")))
+
+    def test_best_names_the_first_failed_cell(self):
+        rng = np.random.default_rng(92)
+        rows = sparse_compositions(rng, 30, 5, zero_fraction=0.3)
+        data = LabeledDataset(rows, np.arange(30) % 3, ("a", "b", "c"))
+        result = grid_search(data, [1.0], [1, 3], "aitchison", B=2, test_total=6, seed=6)
+        first = result.cells[0].error
+        assert first.startswith("ZeroInAitchison: dataset row ")
+        with pytest.raises(SimplexKnnError) as caught:
+            result.best()
+        assert str(caught.value) == f"every grid cell failed, the first at alpha=None: {first}"
+        result = grid_search(data, [-1.0, -0.5], [1], "tc", B=2, test_total=6, seed=6)
+        message = r"every grid cell failed, the first at alpha=-1\.0: ZeroUnderNegativePower"
+        with pytest.raises(SimplexKnnError, match=message):
+            result.best()
 
     def test_best_picks_highest_accuracy(self, blob_dataset):
         result = grid_search(

@@ -149,10 +149,12 @@ class TestVote:
         assert winners.dtype == want_winners.dtype
         assert np.array_equal(winners, want_winners)
         # counts of the largest k
+        assert counts.dtype == np.intp
         assert np.array_equal(counts, want_counts[ks.index(max(ks))].T)
         for i, k in enumerate(ks):
             winners, counts = _vote(dists.T, labels.T, (k,), n_classes)
             assert np.array_equal(winners[0], want_winners[i])
+            assert counts.dtype == np.intp
             assert np.array_equal(counts, want_counts[i].T)
         return want_counts
 
@@ -269,10 +271,25 @@ class TestClassify:
 
     @pytest.mark.parametrize("fn", [classify, membership_scores])
     @pytest.mark.parametrize(
-        "query", [[0.5, 0.5], [[0.4, 0.3, 0.2, 0.1]]], ids=["wrong-parts", "2-D"]
+        "query, message",
+        [
+            ([0.5, 0.5], "queries have 2 parts, training rows have 4"),
+            (
+                [[0.4, 0.3, 0.2, 0.1]],
+                r"query must be one composition \(1-D\), got shape \(1, 4\)",
+            ),
+            (
+                [[0.4, 0.3, 0.2, 0.1]] * 2,
+                r"query must be one composition \(1-D\), got shape \(2, 4\)",
+            ),
+            (0.5, r"query must be one composition \(1-D\), got shape \(\)"),
+        ],
+        ids=["wrong-parts", "2-D", "stacked", "scalar"],
     )
-    def test_query_must_be_one_row_of_the_training_parts(self, blob_dataset, fn, query):
-        with pytest.raises(DimensionMismatch):
+    def test_query_must_be_one_row_of_the_training_parts(
+        self, blob_dataset, fn, query, message
+    ):
+        with pytest.raises(DimensionMismatch, match=message):
             fn(blob_dataset, query, NeighborConfig(1, MetricSpec("esov")))
 
     @pytest.mark.parametrize(

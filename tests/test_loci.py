@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from simplexknn import (
+    FAMILIES,
     DegenerateInput,
     DimensionMismatch,
     MetricSpec,
@@ -11,6 +12,7 @@ from simplexknn import (
     ZeroInAitchison,
     ZeroUnderNegativePower,
     barycentre,
+    distance,
     distance_field,
     ternary_embed,
 )
@@ -127,6 +129,15 @@ class TestDistanceField:
             distance_field(MetricSpec("esov"), [-0.1, 0.6, 0.5], 3)
         with pytest.raises(DegenerateInput):
             distance_field(MetricSpec("tc"), [np.nan, 0.5, 0.5], 3)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_each_value_is_the_distance_of_its_point(self, family):
+        # the field is one stacked distance call: bit for bit the per-point ones
+        spec = MetricSpec(family)
+        ref = [0.2, 0.3, 0.5]
+        field = distance_field(spec, ref, 11)
+        per_point = [distance(spec, p, ref) for p in field.parts]
+        assert field.values.tolist() == per_point
 
     def test_values_non_negative(self):
         field = distance_field(MetricSpec("esov", 0.5), [0.2, 0.3, 0.5], 8)

@@ -24,6 +24,7 @@ from simplexknn import (
     esov_distance,
     hellinger_distance,
     pairwise_distances,
+    power_transform,
     taxicab_alpha_distance,
     taxicab_distance,
 )
@@ -107,3 +108,30 @@ def test_entry_points_agree(spec):
             assert outcomes["distance"] is not None, name
         if name == "all-zero":
             assert outcomes["distance"] is DegenerateInput, outcomes
+
+
+def message(call):
+    """(exception type, message) that call raises, or None when it succeeds."""
+    try:
+        call()
+    except SimplexKnnError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("alpha", [-0.5, 0.5, 2.0])
+@pytest.mark.parametrize("family", POWER_FAMILIES)
+def test_prepare_is_the_power_transform(family, alpha):
+    # a power family prepares through the one validate-and-power routine
+    spec = MetricSpec(family, alpha)
+    rows = np.random.default_rng(12).dirichlet(np.ones(4), size=20)
+    rows[3] *= 7.0  # off the simplex
+    prepared = spec.prepare(rows)
+    assert prepared.tobytes() == power_transform(rows, alpha).tobytes()
+    rows[5, 2] = 0.0
+    got = message(lambda: spec.prepare(rows))
+    assert got == message(lambda: power_transform(rows, alpha))
+    if alpha < 0:
+        assert got[1] == f"composition row 5, part 2 is zero under alpha={alpha:g}"
+    else:
+        assert spec.prepare(rows).tobytes() == power_transform(rows, alpha).tobytes()
