@@ -29,8 +29,9 @@ block, one knn._vote votes every k, and two bincounts count the true
 positives and the predictions of every (k, replication, class), from which
 the rates follow bit-identical to classifying each cell alone.
 
-Also here: confusion statistics, leave-one-out membership scores and
-one-vs-rest ROC curves with trapezoidal AUC.
+Also here: confusion statistics, leave-one-out membership scores, which
+hold each row out by the replications' filter, and one-vs-rest ROC curves
+with trapezoidal AUC.
 """
 
 from __future__ import annotations
@@ -320,13 +321,9 @@ def _replication_stats(data, prepared, spec, indices, dists, tests, ks):
     return acc, rates[0], rates[1]
 
 
-def _first_training(train, ranked, offsets, kmax):
-    """(keep, found): each row's first kmax training columns, and how many it has.
-
-    train is the flat (replications * n) training mask and offsets[i] the
-    start of row i's replication in it; ranked holds global row indices.
-    """
-    keep = train[ranked + offsets[:, None]]
+def _first_kept(keep, kmax):
+    """(keep, found): keep (True where a column is not held out, overwritten)
+    cut to each row's first kmax such columns, and how many each row had."""
     count = np.cumsum(keep, axis=1)
     keep &= count <= kmax
     return keep, count[:, -1]
@@ -349,7 +346,7 @@ def _score_block(data, prepared, spec, indices, dists, tests, ks, acc, rates):
     offsets = rep * n
     ranked, near = indices[rows], dists[rows]
     # every row keeps its first kmax training columns, in global order
-    keep, found = _first_training(train, ranked, offsets, kmax)
+    keep, found = _first_kept(train[ranked + offsets[:, None]], kmax)
     short = np.flatnonzero(found < kmax)
     if short.size:
         # too many test rows in the prefix: rank these rows again over
@@ -357,7 +354,7 @@ def _score_block(data, prepared, spec, indices, dists, tests, ks, acc, rates):
         # kernels are bitwise symmetric and the keys (distance, row index),
         # so the query path gives the self walk's bits and order
         idx, d = _nearest(prepared[rows[short]], prepared, spec, kmax + test_n)
-        mask, _ = _first_training(train, idx, offsets[short], kmax)
+        mask, _ = _first_kept(train[idx + offsets[short, None]], kmax)
         ranked[short, :kmax] = idx[mask].reshape(-1, kmax)
         near[short, :kmax] = d[mask].reshape(-1, kmax)
         keep[short] = np.arange(ranked.shape[1]) < kmax
@@ -486,17 +483,32 @@ def grid_search(
     )
 
 
+def _loocv_neighbours(prepared, spec: MetricSpec, k: int):
+    """(indices, distances), each (n, k): each prepared row's first k others.
+
+    Each row is ranked over k + 1 columns, its own among them, and keeps
+    the first k that are not its own. Dropping one key from a list sorted
+    by (distance, row index) leaves the rest in order, so these are an
+    explicit per-row holdout's neighbours and bits, also under angular.
+    """
+    n = prepared.shape[0]
+    if k > n - 1:
+        raise InsufficientTraining(f"k={k} exceeds {n - 1} training rows")
+    indices, dists = _nearest(prepared, prepared, spec, k + 1)
+    keep, _ = _first_kept(indices != np.arange(n)[:, None], k)
+    return indices[keep].reshape(n, k), dists[keep].reshape(n, k)
+
+
 def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
     """Leave-one-out membership scores, one row of per-class fractions per row.
 
-    Row i is scored against the dataset minus row i: ranking it with the
-    diagonal excluded preserves the (distance, row index) ordering of an
-    explicit per-row holdout. Distances are streamed in strips, each pair
-    computed once, so memory is O(n * k) plus one strip. Deterministic.
+    Row i is scored against the dataset minus row i (_loocv_neighbours).
+    Distances are streamed in strips, each pair computed once, so memory is
+    O(n * k) plus one strip. Deterministic.
     """
     k = config.k
     prepared = config.spec.prepare(data.rows, "dataset", data.feature_names)
-    indices, dists = _nearest(prepared, prepared, config.spec, k, exclude_self=True)
+    indices, dists = _loocv_neighbours(prepared, config.spec, k)
     _, counts = _vote(dists.T, data.labels[indices].T, (k,), data.n_classes)
     return np.ascontiguousarray(counts.T) / k
 

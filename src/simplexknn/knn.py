@@ -177,7 +177,7 @@ def _pivot_order(rows: np.ndarray, spec: MetricSpec, size: int):
     return order, table[order]
 
 
-def _walk(queries, rows, spec: MetricSpec, kth=None, exclude_self=False):
+def _walk(queries, rows, spec: MetricSpec, kth=None):
     """(order, items): the strips of distances from queries to rows.
 
     Both are prepared by spec.prepare. items yields (r, c, d): d[i, j] is
@@ -191,10 +191,10 @@ def _walk(queries, rows, spec: MetricSpec, kth=None, exclude_self=False):
     * Self walk (queries is rows): each row block against the columns from
       its own on; the part of a strip past the row block is yielded again,
       transposed, for its rows, as all kernels are bitwise symmetric. A
-      diagonal block is computed in full (angular has d(x, x) > 0), its
-      diagonal set to inf under exclude_self.
+      diagonal block is computed in full (angular has d(x, x) > 0).
     * Pruned self walk (kth given: the running k-th distance of the row at
-      each position, updated by the caller between items): LAESA's pivot
+      each position, updated by the caller between items; only for a metric
+      with a triangle slack, so never angular): LAESA's pivot
       elimination (Mico, Oncina & Vidal 1994). For any pivot p, d(x, w) >=
       |d(x, p) - d(w, p)| - slack (MetricSpec.triangle_slack), so the
       largest gap, over the pivots, between x's pivot distance and a block's
@@ -208,7 +208,6 @@ def _walk(queries, rows, spec: MetricSpec, kth=None, exclude_self=False):
       row can gain a neighbour there: an equal distance may still enter
       with a lower row index, a larger one cannot. Earlier blocks have
       stopped for good, so a strip is mirrored only into later ones.
-      Angular has no slack and is walked unpruned.
 
     Memory is one strip with its buffers, plus for a pruned walk O(n *
     pivots) for the order and bounds and one bit per pair of blocks. A self
@@ -219,14 +218,14 @@ def _walk(queries, rows, spec: MetricSpec, kth=None, exclude_self=False):
     t = np.ascontiguousarray(rows.T)
     parts, n = t.shape
     m = queries.shape[0]
-    slack = None if kth is None else spec.triangle_slack(parts)
-    pivots = 0 if slack is None else _PIVOTS
+    pivots = 0 if kth is None else _PIVOTS
     height, width, span = _geometry(parts, m, pivots > 0)
     starts = list(range(0, m, height))
     stops = starts[1:] + [m]
     blocks = len(starts)
     order = np.arange(n)
     if pivots:
+        slack = spec.triangle_slack(parts)
         order, table = _pivot_order(t.T, spec, height)
         t = t[:, order]
         lo = np.minimum.reduceat(table, starts).T[:, None, :].copy()
@@ -300,8 +299,6 @@ def _walk(queries, rows, spec: MetricSpec, kth=None, exclude_self=False):
                         c1 = min(c0 + width, b1)
                         tile = kernel(block[:, :h, : c1 - c0], t[:, None, c0:c1])
                         strip[:h, w0 + c0 - b0 : w0 + c1 - b0] = tile
-                    if exclude_self and b0 <= a0 < b1:
-                        strip[np.arange(h), w0 + a0 - b0 + np.arange(h)] = np.inf
                     w0 += b1 - b0
                 d = strip[:h, :w0]
                 cols = order[b0:b1] if len(runs) == 1 else np.concatenate(
@@ -327,16 +324,16 @@ def _walk(queries, rows, spec: MetricSpec, kth=None, exclude_self=False):
 
 
 def _nearest(
-    queries, train, spec: MetricSpec, kmax: int, exclude_self: bool = False
+    queries, train, spec: MetricSpec, kmax: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each query row's first kmax training columns by (distance, row index).
 
     Rows are prepared by spec.prepare and measured by _walk; pass the same
     array as queries and train to walk a dataset against itself, so each
     pair of blocks is computed at most once, and pruned where that pays
-    (from _PRUNE_ROWS rows, kmax at most a _PRUNE_SHARE-th of them). With
-    exclude_self (for queries that are train), row i is never its own
-    neighbour (the LOOCV diagonal, masked inside its tile).
+    (from _PRUNE_ROWS rows, kmax at most a _PRUNE_SHARE-th of them) and the
+    metric bounds it (angular has no triangle slack). A row is ranked among
+    its own columns: a caller that holds rows out drops them afterwards.
 
     Each candidate is one complex key, distance + 1j * row index. numpy
     orders complex numbers by real part, then imaginary part, so the keys
@@ -353,14 +350,13 @@ def _nearest(
     O(m * kmax) plus one strip and one key array (and the walk's own).
     """
     n = train.shape[0]
-    if kmax > n - exclude_self:
-        raise InsufficientTraining(
-            f"k={kmax} exceeds {n - exclude_self} training rows"
-        )
+    if kmax > n:
+        raise InsufficientTraining(f"k={kmax} exceeds {n} training rows")
     best = np.full((queries.shape[0], kmax), complex(np.inf, n))
     kth = np.full(queries.shape[0], np.inf)
     prune = queries is train and n >= _PRUNE_ROWS and kmax * _PRUNE_SHARE <= n
-    order, items = _walk(queries, train, spec, kth if prune else None, exclude_self)
+    prune = prune and spec.triangle_slack(train.shape[1]) is not None  # not angular
+    order, items = _walk(queries, train, spec, kth if prune else None)
     # the keys of every merge, grown as needed: a strip's keys pass 128 KiB,
     # and a fresh array per merge is faulted in again (17.6k against 11.6k
     # minor faults in an esov roc on 3,000 rows)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .metrics import MetricSpec, distance
+from .metrics import MetricSpec, _measure
 
 __all__ = [
     "ternary_embed",
@@ -72,7 +72,7 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
     ref = np.asarray(reference, dtype=float)
     if ref.shape != (3,):
         raise DimensionMismatch(f"reference needs 3 parts, got shape {ref.shape}")
-    spec.prepare(ref[None, :], "reference")  # so an error names the reference
+    prepared = spec.prepare(ref[None, :], "reference")  # an error names the reference
 
     ii, jj = np.triu_indices(n + 1)
     jj = jj - ii
@@ -85,5 +85,5 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
         spec=spec,
         reference=(float(ref[0]), float(ref[1]), float(ref[2])),
         parts=parts,
-        values=distance(spec, parts, ref),
+        values=_measure(spec, spec.prepare(parts), prepared),
     )

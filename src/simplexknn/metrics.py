@@ -20,9 +20,9 @@ validate the same way: MetricSpec.prepare closes rows that are off the
 simplex, as ingestion does, and rejects negative parts (NegativeComponent),
 non-finite parts, all-zero rows (DegenerateInput) and zero parts outside the
 metric's domain. The kernels in _KERNELS are plain arithmetic that assume
-rows prepared so, with the parts on the first axis. Only distance (loci's
-fields too) and knn._walk run a kernel: distance moves the parts there, and
-the walk hands over tiles built that way. prepare also applies each
+rows prepared so, with the parts on the first axis. Only distance's _measure
+(loci's fields too) and knn._walk run a kernel: _measure moves the parts
+there, and the walk hands over tiles built that way. prepare also applies each
 family's per-row transform (square roots for hellinger, centred log-ratio
 images for aitchison), so those kernels are plain L2 distances. Every sum
 over the parts runs through _part_sum, which spells out numpy's pairwise
@@ -41,6 +41,7 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroInAitchison
 from .simplex import (
     SUM_TOLERANCE,
+    _alpha,
     _as_composition,
     _checked_power_transform,
     _validated,
@@ -81,11 +82,7 @@ class MetricSpec:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {FAMILIES}"
             )
-        if isinstance(self.alpha, (bool, np.bool_)):
-            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
         if self.family not in POWER_FAMILIES and self.alpha != 1.0:
             raise ValueError(f"alpha is fixed at 1 for the {self.family} family")
 
@@ -99,7 +96,7 @@ class MetricSpec:
     def kernel(self):
         """The family's arithmetic; it assumes rows from prepare and checks nothing.
 
-        Only distance and knn's walk call it.
+        Only distance's _measure and knn's walk call it.
         """
         return _KERNELS[self.family]
 
@@ -368,8 +365,11 @@ def _distance_error(family: str, parts: int) -> float:
 
 def distance(spec: MetricSpec, x, w):
     """Distance between x and w under spec; esov/tc honour spec.alpha."""
-    x = spec.prepare(x)
-    w = spec.prepare(w)
+    return _measure(spec, spec.prepare(x), spec.prepare(w))
+
+
+def _measure(spec: MetricSpec, x, w):
+    """distance between x and w, already prepared by spec: the kernel call."""
     if x.shape[-1] != w.shape[-1]:
         raise DimensionMismatch(
             f"compositions have {x.shape[-1]} and {w.shape[-1]} parts"

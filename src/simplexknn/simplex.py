@@ -120,11 +120,23 @@ def power_transform(x, alpha: float) -> np.ndarray:
     return _checked_power_transform(x, alpha)
 
 
-def _checked_power_transform(x, alpha: float, role="composition", names=None):
-    """power_transform naming a fault's row and part, as _validated does: the
-    one validate-and-power routine, which MetricSpec.prepare also calls."""
+def _alpha(alpha) -> float:
+    """alpha as a finite float: MetricSpec's and power_transform's one rule."""
+    try:
+        if isinstance(alpha, (bool, np.bool_)):
+            raise TypeError
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise ValueError(f"alpha must be a number, got {alpha!r}") from None
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
+    return alpha
+
+
+def _checked_power_transform(x, alpha, role="composition", names=None):
+    """power_transform naming a fault's row and part, as _validated does: the
+    one validate-and-power routine, which MetricSpec.prepare also calls."""
+    alpha = _alpha(alpha)
     zero = None  # zero parts fail only at alpha < 0
     if alpha < 0:
         zero = ZeroUnderNegativePower, f"is zero under alpha={alpha:g}"

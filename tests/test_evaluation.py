@@ -5,6 +5,7 @@ import pytest
 
 from simplexknn import (
     InfeasibleStratification,
+    InsufficientTraining,
     LabeledDataset,
     MetricSpec,
     NeighborConfig,
@@ -376,6 +377,20 @@ class TestLoocv:
             rest = blob_dataset.subset(np.delete(keep, i))
             expected = membership_scores(rest, blob_dataset.rows[i], config)
             np.testing.assert_array_equal(scores[i], expected)
+
+    @pytest.mark.parametrize(
+        "spec", [MetricSpec("esov", 0.5), MetricSpec("angular")], ids=repr
+    )
+    def test_every_other_row_at_k_n_minus_1(self, blob_dataset, spec):
+        # row i votes on all the others: the class counts less its own label
+        n = len(blob_dataset)
+        scores = loocv_scores(blob_dataset, NeighborConfig(n - 1, spec))
+        labels = blob_dataset.labels
+        others = blob_dataset.class_counts() - (labels[:, None] == np.arange(3))
+        assert scores.tolist() == (others / (n - 1)).tolist()
+        message = f"k={n} exceeds {n - 1} training rows"
+        with pytest.raises(InsufficientTraining, match=message):
+            loocv_scores(blob_dataset, NeighborConfig(n, spec))
 
     def test_row_permutation_equivariance(self, blob_dataset):
         config = NeighborConfig(3, MetricSpec("tc"))

@@ -18,6 +18,7 @@ from simplexknn import (
     pairwise_distances,
 )
 from simplexknn import knn, simplex
+from simplexknn.evaluation import _loocv_neighbours
 from simplexknn.knn import _nearest, _vote
 
 import class_last
@@ -346,18 +347,35 @@ class TestClassify:
         assert calls == [(1, d), (n, d)]
 
 
+def ranked(q, train, spec, kmax, loocv):
+    """_nearest's first kmax columns, or with loocv those LOOCV keeps of train."""
+    if loocv:
+        return _loocv_neighbours(train, spec, kmax)
+    return _nearest(q, train, spec, kmax)
+
+
+def diagonal_inf_order(spec, q, train, loocv):
+    """(order, full): a stable argsort of one unblocked call, its diagonal inf
+    with loocv, so that no row is its own neighbour."""
+    full = parts_last.kernel(spec, q[:, None], train[None])
+    if loocv:
+        np.fill_diagonal(full, np.inf)
+    return np.argsort(full, axis=1, kind="stable"), full
+
+
 @pytest.mark.parametrize(
     "spec",
     [MetricSpec(f, a) for f in ("esov", "tc") for a in (0.0, 1.0)]
     + [MetricSpec("angular")],  # d(x, x) > 0: a row need not be its own nearest
     ids=repr,
 )
-@pytest.mark.parametrize("exclude_self", [False, True])
-def test_nearest_matches_full_stable_argsort(monkeypatch, spec, exclude_self):
+@pytest.mark.parametrize("loocv", [False, True])
+def test_nearest_matches_full_stable_argsort(monkeypatch, spec, loocv):
     # lattice points plus a duplicated block: ties everywhere. 7 x 5 tiles on
-    # 60 rows give ragged last tiles, mirrored tiles, a masked diagonal split
-    # over two tiles, kmax wider than a tile and ties across the k-th
-    # distance; train against itself is pruned, whatever kmax, in 7-row blocks
+    # 60 rows give ragged last tiles, mirrored tiles, a diagonal split over
+    # two tiles, kmax wider than a tile and ties across the k-th distance;
+    # train against itself is pruned, whatever kmax, in 7-row blocks. LOOCV
+    # keeps kmax of kmax + 1 columns, up to every other row
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(knn, "_WALK_ROWS", 7)
     monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 5 * 3)
@@ -367,19 +385,16 @@ def test_nearest_matches_full_stable_argsort(monkeypatch, spec, exclude_self):
     n = len(data)
     train = spec.prepare(data.rows)
     # train itself, so tiles are mirrored, and equal values in another
-    # array, so every pair is measured; LOOCV only ever passes train
-    for q in [train] if exclude_self else [train, train[::-3].copy()]:
-        full = parts_last.kernel(spec, q[:, None], train[None])  # one unblocked call
-        if exclude_self:
-            np.fill_diagonal(full, np.inf)
-        order = np.argsort(full, axis=1, kind="stable")
+    # array, so every pair is measured; LOOCV only ever ranks train
+    for q in [train] if loocv else [train, train[::-3].copy()]:
+        order, full = diagonal_inf_order(spec, q, train, loocv)
         for kmax in (1, 3, 9, n - 1):
-            indices, dists = _nearest(q, train, spec, kmax, exclude_self)
+            indices, dists = ranked(q, train, spec, kmax, loocv)
             assert np.array_equal(indices, order[:, :kmax])
             expected = np.take_along_axis(full, order[:, :kmax], axis=1)
             assert np.array_equal(dists.view(np.int64), expected.view(np.int64))
     with pytest.raises(InsufficientTraining):
-        _nearest(train, train, spec, n + 1 - exclude_self, exclude_self)
+        ranked(train, train, spec, n + 1 - loocv, loocv)
 
 
 def _reversed(items):
@@ -390,13 +405,13 @@ def _reversed(items):
 @pytest.mark.parametrize(
     "spec", [MetricSpec("tc"), MetricSpec("esov", 0.0), MetricSpec("angular")], ids=repr
 )
-@pytest.mark.parametrize("exclude_self", [False, True])
-def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, exclude_self):
+@pytest.mark.parametrize("loocv", [False, True])
+def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, loocv):
     # lattice points plus a duplicated block, so distances tie everywhere,
     # also across the k-th. 7-row blocks, 6-column tiles and 18-column strips
     # on 60 rows: strips do not divide n, the last strip of the first row
-    # block is exactly one tile, and strips are mirrored with the diagonal
-    # masked. Reversed, a row meets its higher columns first, so a tied
+    # block is exactly one tile, and strips are mirrored, a row's own column
+    # among them. Reversed, a row meets its higher columns first, so a tied
     # candidate with a lower row index arrives after its rival. Every item
     # comes from _walk, whose strips are all yielded up front here, before
     # any k-th distance is known, so nothing is pruned.
@@ -414,14 +429,11 @@ def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, exclude_self)
 
     monkeypatch.setattr(knn, "_walk", reversed_walk)
     # train itself; equal values in another array; one query row
-    others = [] if exclude_self else [train[::-3].copy(), train[5:6].copy()]
+    others = [] if loocv else [train[::-3].copy(), train[5:6].copy()]
     for q in [train, *others]:
-        full = parts_last.kernel(spec, q[:, None], train[None])  # one unblocked call
-        if exclude_self:
-            np.fill_diagonal(full, np.inf)
-        order = np.argsort(full, axis=1, kind="stable")
+        order, full = diagonal_inf_order(spec, q, train, loocv)
         for kmax in (1, 3, 9, n - 1):
-            indices, dists = _nearest(q, train, spec, kmax, exclude_self)
+            indices, dists = ranked(q, train, spec, kmax, loocv)
             assert np.array_equal(indices, order[:, :kmax])
             expected = np.take_along_axis(full, order[:, :kmax], axis=1)
             assert np.array_equal(dists.view(np.int64), expected.view(np.int64))

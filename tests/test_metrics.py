@@ -22,6 +22,7 @@ from simplexknn import (
     esov_alpha_distance,
     esov_distance,
     hellinger_distance,
+    power_transform,
     taxicab_alpha_distance,
     taxicab_distance,
 )
@@ -210,14 +211,36 @@ class TestMetricSpec:
         with pytest.raises(ValueError):
             MetricSpec("euclid")
 
-    def test_non_finite_alpha(self):
-        with pytest.raises(ValueError):
-            MetricSpec("esov", float("inf"))
 
-    def test_boolean_alpha_rejected(self):
-        for flag in (True, np.False_):
-            with pytest.raises(ValueError):
-                MetricSpec("esov", flag)
+@pytest.mark.parametrize(
+    "alpha, message",
+    [
+        (True, "alpha must be a number, got True"),
+        (np.False_, "alpha must be a number, got np.False_"),
+        ("half", "alpha must be a number, got 'half'"),
+        (None, "alpha must be a number, got None"),
+        (float("inf"), "alpha must be finite"),
+        (np.nan, "alpha must be finite"),
+        ("-inf", "alpha must be finite"),
+    ],
+    ids=["bool", "numpy-bool", "text", "none", "inf", "nan", "text-inf"],
+)
+def test_spec_and_power_transform_share_one_alpha_rule(alpha, message):
+    for call in (
+        lambda: MetricSpec("esov", alpha),
+        lambda: power_transform([0.2, 0.8], alpha),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_alpha_is_taken_as_a_float_by_spec_and_power_transform():
+    assert MetricSpec("tc", "0.5") == MetricSpec("tc", 0.5)
+    x = [0.2, 0.8]
+    for alpha, number in (("0.5", 0.5), (np.float32(-1), -1.0)):
+        got, want = power_transform(x, alpha), power_transform(x, number)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDispatcher:

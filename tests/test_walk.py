@@ -6,7 +6,8 @@ row's running k-th distance are never computed. The bound only holds up to
 the kernels' rounding (MetricSpec.triangle_slack), so the data here is made
 of the cases where rounding decides: exact duplicates, lattice ties, and
 copies moved by 1 to 3 ulp per part. Neighbours and distance bits must equal
-an unblocked oracle's, whatever is skipped.
+an unblocked oracle's, whatever is skipped; so must the neighbours LOOCV
+keeps once it has dropped each row's own column.
 """
 
 import logging
@@ -20,6 +21,7 @@ import parts_last
 from simplexknn import LabeledDataset, MetricSpec, pairwise_distances, write_csv
 from simplexknn import knn
 from simplexknn.cli import main
+from simplexknn.evaluation import _loocv_neighbours
 from simplexknn.knn import _nearest
 from simplexknn.metrics import _LOG_ERROR, _U
 from conftest import positive_compositions, sparse_compositions
@@ -38,7 +40,11 @@ def nudged(rng, rows):
 
 
 def tie_rows(kind, positive, seed=0):
-    """Rows where rounding decides the neighbours: duplicates, ties, ulp nudges."""
+    """Rows where rounding decides the neighbours: duplicates, ties, ulp nudges.
+
+    "copies" are the random rows with their first four copied 5 more times
+    each, last, so a copy may follow 5 equal rows.
+    """
     rng = np.random.default_rng(seed)
     if kind == "lattice":
         base = lattice_dataset(12, interior=positive).rows  # with a duplicated block
@@ -46,7 +52,10 @@ def tie_rows(kind, positive, seed=0):
         make = positive_compositions if positive else sparse_compositions
         base = make(rng, 120, 8)
     pick = rng.choice(len(base), len(base) // 2, replace=False)
-    return np.vstack([base, nudged(rng, base[pick]), nudged(rng, base[pick[::3]])])
+    rows = np.vstack([base, nudged(rng, base[pick]), nudged(rng, base[pick[::3]])])
+    if kind == "copies":
+        rows = np.vstack([rows, np.repeat(rows[:4], 5, axis=0)])
+    return rows
 
 
 @pytest.fixture
@@ -69,30 +78,39 @@ def walk_records(caplog):
     return [tuple(int(g) for g in m.groups()) for m in found if m]
 
 
-def oracle(spec, raw, kmax, exclude_self):
+def oracle(spec, raw, kmax, loocv):
     full = parts_last.matrix(spec, raw, raw)  # one unblocked call
-    if exclude_self:
+    if loocv:  # no row is its own neighbour
         np.fill_diagonal(full, np.inf)
     order = np.argsort(full, axis=1, kind="stable")[:, :kmax]
     return order, np.take_along_axis(full, order, axis=1)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=repr)
-@pytest.mark.parametrize("kind", ["lattice", "random"])
+@pytest.mark.parametrize("kind", ["lattice", "random", "copies"])
 @pytest.mark.parametrize(
-    "kmax, exclude_self",
+    "kmax, loocv",
     [(1, True), (3, True), (27, False)],
     ids=["loocv1", "loocv3", "tune"],
 )
 def test_pruned_walk_matches_stable_argsort(
-    small_walk, caplog, spec, kind, kmax, exclude_self
+    small_walk, caplog, spec, kind, kmax, loocv
 ):
+    # LOOCV ranks kmax + 1 columns, each row among its own, and drops one
     raw = tie_rows(kind, spec.needs_positive)
     rows = spec.prepare(raw)
     small_walk(rows.shape[1])
+    if kind == "copies" and loocv:
+        # the last row ranks its own column past the first kmax + 1, so it
+        # drops the last one instead; some row drops one of its first kmax
+        own = _nearest(rows, rows, spec, kmax + 1)[0] == np.arange(len(rows))[:, None]
+        assert not own[-1].any() and own[:, :kmax].any()
     caplog.set_level(logging.DEBUG, logger="simplexknn")
-    indices, dists = _nearest(rows, rows, spec, kmax, exclude_self)
-    want, want_dists = oracle(spec, raw, kmax, exclude_self)
+    if loocv:
+        indices, dists = _loocv_neighbours(rows, spec, kmax)
+    else:
+        indices, dists = _nearest(rows, rows, spec, kmax)
+    want, want_dists = oracle(spec, raw, kmax, loocv)
     assert np.array_equal(indices, want)
     assert np.array_equal(dists.view(np.int64), want_dists.view(np.int64))
     [(computed, total, skipped, pivots)] = walk_records(caplog)
@@ -109,7 +127,7 @@ def test_walk_order_does_not_change_the_result(small_walk, monkeypatch, spec):
     raw = tie_rows("random", False, seed=3)
     rows = spec.prepare(raw)
     small_walk(rows.shape[1])
-    want = _nearest(rows, rows, spec, 3, True)
+    want = _nearest(rows, rows, spec, 3)
     pivot_order = knn._pivot_order
 
     def reversed_order(*args):
@@ -117,7 +135,7 @@ def test_walk_order_does_not_change_the_result(small_walk, monkeypatch, spec):
         return order[::-1].copy(), table[::-1].copy()
 
     monkeypatch.setattr(knn, "_pivot_order", reversed_order)
-    got = _nearest(rows, rows, spec, 3, True)
+    got = _nearest(rows, rows, spec, 3)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
 
@@ -129,7 +147,7 @@ def test_angular_visits_every_pair(small_walk, caplog):
     for family in ("hellinger", "angular"):
         spec = MetricSpec(family)
         rows = spec.prepare(raw)
-        _nearest(rows, rows, spec, 1, True)
+        _nearest(rows, rows, spec, 1)
     (_, total, skipped, _), angular = walk_records(caplog)
     assert skipped > 0  # the same rows under a metric prune
     height, _, _ = knn._geometry(raw.shape[1], len(raw), pruned=False)
@@ -177,10 +195,10 @@ def test_one_record_per_walk_and_none_for_queries(caplog):
     assert n >= knn._PRUNE_ROWS
     data = LabeledDataset(rows, np.arange(n) % 3, ("a", "b", "c"))
     caplog.set_level(logging.DEBUG, logger="simplexknn")
-    _nearest(rows, rows, spec, 3, True)
+    _nearest(rows, rows, spec, 3)
     _nearest(rows, rows, spec, n // knn._PRUNE_SHARE + 1)  # too wide a prefix to prune
     few = rows[: knn._PRUNE_ROWS - 1]
-    _nearest(few, few, spec, 3, True)  # too few rows
+    _nearest(few, few, spec, 3)  # too few rows
     pairwise_distances(data, data.rows, spec)  # no k-th distance to prune by
     _nearest(rows[:5].copy(), rows, spec, 3)  # queries: no blocks to skip
     records = walk_records(caplog)
