@@ -38,10 +38,10 @@ from . import __version__
 from .dataset import DEFAULT_DROP_COLUMNS, LabeledDataset, _read_csv, _write_table
 from .errors import SimplexKnnError
 from .evaluation import auc, grid_search, loocv_scores, roc_curve
-from .knn import NeighborConfig, _positive_k, pairwise_distances
+from .knn import NeighborConfig, pairwise_distances
 from .loci import DEFAULT_RESOLUTION, distance_field, ternary_embed
 from .metrics import FAMILIES, POWER_FAMILIES, MetricSpec
-from .simplex import _checked_power_transform, barycentre
+from .simplex import _checked_power_transform, _integer, barycentre
 
 __all__ = ["main", "build_parser", "parse_grid"]
 
@@ -90,7 +90,7 @@ def parse_grid(text: str, integer: bool = False) -> list:
         for v in values:
             if np.isfinite(v) and abs(v - round(v)) > 1e-9:
                 raise ValueError(f"grid value {v} is not an integer")
-            out.append(_positive_k(round(v) if np.isfinite(v) else v))
+            out.append(_integer(round(v) if np.isfinite(v) else v, "k"))
     else:
         out = values
     deduped = list(dict.fromkeys(out))

@@ -49,8 +49,9 @@ from .errors import (
     UndefinedRoc,
 )
 from . import knn
-from .knn import NeighborConfig, _nearest, _positive_k, _vote
+from .knn import NeighborConfig, _nearest, _vote
 from .metrics import POWER_FAMILIES, MetricSpec
+from .simplex import _integer
 
 __all__ = [
     "allocate_test_counts",
@@ -73,6 +74,7 @@ def allocate_test_counts(class_counts, test_total: int) -> np.ndarray:
     row, so the split is feasible only when C <= test_total <= N - C.
     Remainder ties go to the lower class index.
     """
+    test_total = _integer(test_total, "test_total")
     counts = np.asarray(class_counts, dtype=np.intp)
     n_classes = counts.size
     total = int(counts.sum())
@@ -142,6 +144,7 @@ def stratified_holdout(
     proportionally to class sizes (largest remainder, at least one per
     class). The stream is fully determined by (seed, replication_index).
     """
+    seed = _integer(seed, "seed", positive=False)
     alloc = allocate_test_counts(data.class_counts(), test_total)
     test_idx = _test_rows(_class_members(data), alloc, seed, replication_index)
     train_idx = np.setdiff1d(np.arange(len(data)), test_idx)
@@ -424,9 +427,10 @@ def grid_search(
             raise ValueError("alphas must be non-empty")
     else:
         specs = (MetricSpec(family),)
-    if B < 1:
-        raise ValueError("B must be at least 1")
-    ks = tuple(dict.fromkeys(_positive_k(k) for k in ks))
+    B = _integer(B, "B")
+    test_total = _integer(test_total, "test_total")
+    seed = _integer(seed, "seed", positive=False)
+    ks = tuple(dict.fromkeys(_integer(k, "k") for k in ks))
     if not ks:
         raise ValueError("ks must be non-empty")
     alloc = allocate_test_counts(data.class_counts(), test_total)
@@ -547,7 +551,7 @@ def roc_curve(scores, truth, class_index: int, k: int | None = None) -> RocCurve
             f"class {class_index} has {n_pos} positive and {n_neg} negative rows"
         )
     if k is not None:
-        k = _positive_k(k)
+        k = _integer(k, "k")
         levels = np.arange(k, -1, -1) / k
     else:
         levels = np.unique(col)[::-1]

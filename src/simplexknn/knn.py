@@ -14,7 +14,10 @@ reproducible across runs, platforms and thread schedules:
   * one vote serves classify, LOOCV and tune: it reads the ranked neighbours
     neighbour-major, so every query's first k form one prefix, decides the
     smallest k over class-first (C, m) keys (-count, distance sum), and
-    reaches any larger k by a running winner, one rank at a time.
+    reaches any larger k by a running winner, one rank at a time;
+  * classify, membership_scores and pairwise_distances take one composition
+    or an (m, D) stack by one shape rule (_prepared), so m predictions are
+    one ranking and one vote, and one composition is the case m = 1.
 
 Every distance is measured by one engine, _walk, in strips: one block of
 query rows against a run of whole kernel tiles of columns. A tile is sized
@@ -25,15 +28,15 @@ parts-first into a (D, rows, columns) buffer, and every tile is that buffer
 against a (D, 1, columns) view of the training rows, so each elementwise
 pass runs along whole tiles. Queries (classify, membership_scores, pivot
 distances) are measured against every training row. A dataset against
-itself (LOOCV, tune, dist) is walked in square blocks, each unordered pair
-of blocks computed at most once and mirrored, as every kernel is bitwise
-symmetric; when ranking neighbours the walk also skips the blocks that a
-pivot bound shows cannot hold one (see _walk). Each row keeps a running
-set of its k best (distance, row index) keys and its k-th distance; a
-strip is merged by one partition into the rows whose smallest distance in
-it is at or below that distance, and the sets are sorted once at the end.
-So memory is O(n * (k + pivots)) plus one strip, a few buffers of its size
-and one bit per pair of blocks.
+itself (LOOCV, tune, dist, classify of train.rows) is walked in square
+blocks, each unordered pair of blocks computed at most once and mirrored,
+as every kernel is bitwise symmetric; when ranking neighbours the walk also
+skips the blocks that a pivot bound shows cannot hold one (see _walk). Each
+row keeps a running set of its k best (distance, row index) keys and its
+k-th distance; a strip is merged by one partition into the rows whose
+smallest distance in it is at or below that distance, and the sets are
+sorted once at the end. So memory is O(n * (k + pivots)) plus one strip, a
+few buffers of its size and one bit per pair of blocks.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import numpy as np
 from .dataset import LabeledDataset
 from .errors import DimensionMismatch, InsufficientTraining
 from .metrics import MetricSpec
+from .simplex import _integer
 
 __all__ = [
     "NeighborConfig",
@@ -66,14 +70,6 @@ def _debug(message: str, *args) -> None:
         logging.getLogger("simplexknn").debug(message, *args)
 
 
-def _positive_k(k) -> int:
-    """k as an int: the one rule for a neighbour count (a bool is not one)."""
-    bad = isinstance(k, (bool, np.bool_)) or k in (np.inf, -np.inf) or k != k  # nan
-    if bad or int(k) != k or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
-    return int(k)
-
-
 @dataclass(frozen=True)
 class NeighborConfig:
     """Number of neighbours and the metric they are measured with."""
@@ -82,7 +78,7 @@ class NeighborConfig:
     spec: MetricSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _positive_k(self.k))
+        object.__setattr__(self, "k", _integer(self.k, "k"))
 
 
 # A kernel call measures a tile of at most _TILE_FLOATS floats in each (D,
@@ -395,7 +391,7 @@ def _training_rows(train: LabeledDataset, spec: MetricSpec) -> np.ndarray:
     """
     rows = train._prepared_rows.get(spec)
     if rows is None:
-        prepared = spec.prepare(train.rows, "training", train.feature_names)
+        prepared = spec.prepare(train.rows, "dataset", train.feature_names)
         rows = np.ascontiguousarray(prepared.T).T
         rows.setflags(write=False)
         train._prepared_rows[spec] = rows
@@ -489,27 +485,33 @@ def _vote(
 
 def _knn_vote(
     train: LabeledDataset, query, config: NeighborConfig
-) -> tuple[int, np.ndarray]:
-    query = np.asarray(query, dtype=float)
-    if query.ndim != 1:
-        raise DimensionMismatch(
-            f"query must be one composition (1-D), got shape {query.shape}"
-        )
-    prepared = _prepared(train, query[None], config.spec)
-    indices, dists = _nearest(*prepared, config.spec, config.k)
+) -> tuple[int | np.ndarray, np.ndarray]:
+    """(winners, class counts) of query, taken as pairwise_distances takes its
+    queries: an int and (C,) counts for one composition, (m,) and (m, C) for
+    a stack, from one _nearest call and one _vote call."""
+    spec = config.spec
+    indices, dists = _nearest(*_prepared(train, query, spec), spec, config.k)
     winners, counts = _vote(
         dists.T, train.labels[indices].T, (config.k,), train.n_classes
     )
-    return int(winners[0, 0]), counts[:, 0]
+    if np.ndim(query) == 1:
+        return int(winners[0, 0]), counts[:, 0]
+    return winners[0], np.ascontiguousarray(counts.T)
 
 
-def classify(train: LabeledDataset, query, config: NeighborConfig) -> int:
-    """Class index of the majority vote among the k nearest training rows."""
+def classify(train: LabeledDataset, query, config: NeighborConfig) -> int | np.ndarray:
+    """Class index of the majority vote among the k nearest training rows.
+
+    query is one composition, giving an int, or a stack of them, giving an
+    (m,) array. A stack that is train.rows itself takes the self walk, each
+    row ranked among its own columns.
+    """
     return _knn_vote(train, query, config)[0]
 
 
 def membership_scores(train: LabeledDataset, query, config: NeighborConfig) -> np.ndarray:
-    """Per-class neighbour fractions for one query; sums to 1.
+    """Per-class neighbour fractions: (C,) for one composition, (m, C) for a
+    stack; each row sums to 1.
 
     argmax under the classify() tie rules equals classify()'s output.
     """

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .metrics import MetricSpec, _measure
+from .simplex import _integer
 
 __all__ = [
     "ternary_embed",
@@ -67,6 +68,7 @@ class DistanceField:
 
 def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
     """distance(spec, lattice point, reference) over the lattice, in one call."""
+    n = _integer(n, "n")
     if n < 2:
         raise ValueError("grid resolution n must be at least 2")
     ref = np.asarray(reference, dtype=float)

@@ -133,6 +133,21 @@ def _alpha(alpha) -> float:
     return alpha
 
 
+def _integer(value, name: str, positive: bool = True) -> int:
+    """value as a Python int: the one rule for a count (k, B, test_total, a
+    lattice's n) and, with positive=False, for a seed of either sign. A bool
+    is neither, nor is a number with a fraction; the error names the argument."""
+    try:
+        if isinstance(value, (bool, np.bool_)) or int(value) != value:
+            raise ValueError
+        if positive and value < 1:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):  # also None, text, nan, inf
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}") from None
+    return int(value)
+
+
 def _checked_power_transform(x, alpha, role="composition", names=None):
     """power_transform naming a fault's row and part, as _validated does: the
     one validate-and-power routine, which MetricSpec.prepare also calls."""

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,14 @@ class TestAllocation:
         with pytest.raises(InfeasibleStratification):
             allocate_test_counts([4, 4], 7)
 
+    def test_test_total_follows_the_count_rule(self):
+        # a whole float is its int; numpy's slicing used to reject 4.0
+        alloc = allocate_test_counts([5, 5], 4.0)
+        assert alloc.tolist() == [2, 2]
+        for bad in (4.5, True, 0, np.nan):
+            with pytest.raises(ValueError, match="^test_total must be a positive integer"):
+                allocate_test_counts([5, 5], bad)
+
     def test_small_class_never_overdrawn(self):
         alloc = allocate_test_counts([2, 2, 100], 50)
         assert alloc[0] == 1 and alloc[1] == 1 and alloc.sum() == 50
@@ -96,6 +105,14 @@ class TestStratifiedHoldout:
         a = stratified_holdout(blob_dataset, 6, seed=1, replication_index=0)
         b = stratified_holdout(blob_dataset, 6, seed=1, replication_index=1)
         assert not np.array_equal(a[1].rows, b[1].rows)
+
+    def test_seed_and_test_total_follow_the_integer_rules(self, blob_dataset):
+        want = stratified_holdout(blob_dataset, 6, seed=-3, replication_index=0)
+        got = stratified_holdout(blob_dataset, 6.0, seed=np.int64(-3), replication_index=0)
+        assert [d.rows.tolist() for d in got] == [d.rows.tolist() for d in want]
+        for seed in (1.5, True, np.nan, "1"):
+            with pytest.raises(ValueError, match="^seed must be an integer, got"):
+                stratified_holdout(blob_dataset, 6, seed=seed, replication_index=0)
 
     def test_seeds_differ(self, blob_dataset):
         a = stratified_holdout(blob_dataset, 6, seed=1, replication_index=0)
@@ -308,6 +325,38 @@ class TestGridSearch:
     def test_non_finite_k_gets_the_shared_message(self, blob_dataset, k):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             grid_search(blob_dataset, [1.0], [1, k], "esov", B=2, test_total=6, seed=1)
+
+    @pytest.mark.parametrize(
+        "argument, value, message",
+        [
+            ("B", 0, "B must be a positive integer, got 0"),
+            ("B", 2.5, "B must be a positive integer, got 2.5"),
+            ("test_total", True, "test_total must be a positive integer, got True"),
+            ("test_total", 6.5, "test_total must be a positive integer, got 6.5"),
+            ("seed", 1.5, "seed must be an integer, got 1.5"),
+            ("seed", False, "seed must be an integer, got False"),
+        ],
+    )
+    def test_counts_and_seed_follow_the_integer_rules(
+        self, blob_dataset, argument, value, message
+    ):
+        kwargs = dict(B=2, test_total=6, seed=1) | {argument: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_search(blob_dataset, [1.0], [1], "esov", **kwargs)
+
+    def test_whole_numbers_of_any_type_give_one_json_report(self, blob_dataset):
+        # numpy integers and whole floats are reported as Python ints, so the
+        # report serialises and equals the plain ints' run
+        want = grid_search(blob_dataset, [1.0], [1, 3], "tc", B=3, test_total=6, seed=-2)
+        for B, test_total, seed in [
+            (np.int64(3), np.int64(6), np.int64(-2)),
+            (3.0, 6.0, -2.0),
+        ]:
+            got = grid_search(
+                blob_dataset, [1.0], [1, 3], "tc", B=B, test_total=test_total, seed=seed
+            )
+            assert all(type(v) is int for v in (got.B, got.test_total, got.seed))
+            assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
     def test_grid_dedupes_alphas_and_ks_in_order(self, blob_dataset):
         result = grid_search(

@@ -1,4 +1,5 @@
 import itertools
+import logging
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ import class_last
 import parts_last
 from conftest import compositional_blobs, positive_compositions, sparse_compositions
 from test_engine import lattice_dataset
+from test_walk import walk_records
 
 
 def brute_force_classify(train, query, k, spec):
@@ -129,8 +131,8 @@ class TestPairwiseDistances:
 class TestNeighborConfig:
     def test_k_must_be_a_positive_integer(self):
         assert NeighborConfig(3.0, MetricSpec("esov")).k == 3
-        for bad in (0, -1, 2.5, True, np.True_):
-            with pytest.raises(ValueError):
+        for bad in (0, -1, 2.5, True, np.True_, None, "3", "x"):
+            with pytest.raises(ValueError, match="^k must be a positive integer, got "):
                 NeighborConfig(bad, MetricSpec("esov"))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, np.float32("inf")])
@@ -270,26 +272,30 @@ class TestClassify:
         for c in (1.0 / np.sqrt(np.log(10.0)), 3.7):
             np.testing.assert_array_equal(base, winners(c * m))
 
-    @pytest.mark.parametrize("fn", [classify, membership_scores])
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            classify,
+            membership_scores,
+            lambda data, query, config: pairwise_distances(data, query, config.spec),
+        ],
+        ids=["classify", "membership_scores", "dist"],
+    )
     @pytest.mark.parametrize(
         "query, message",
         [
             ([0.5, 0.5], "queries have 2 parts, training rows have 4"),
+            ([[0.5, 0.5]] * 2, "queries have 2 parts, training rows have 4"),
+            (0.5, r"queries must be 1-D or 2-D, got shape \(\)"),
             (
-                [[0.4, 0.3, 0.2, 0.1]],
-                r"query must be one composition \(1-D\), got shape \(1, 4\)",
+                [[[0.4, 0.3, 0.2, 0.1]]],
+                r"queries must be 1-D or 2-D, got shape \(1, 1, 4\)",
             ),
-            (
-                [[0.4, 0.3, 0.2, 0.1]] * 2,
-                r"query must be one composition \(1-D\), got shape \(2, 4\)",
-            ),
-            (0.5, r"query must be one composition \(1-D\), got shape \(\)"),
         ],
-        ids=["wrong-parts", "2-D", "stacked", "scalar"],
+        ids=["wrong-parts", "stacked-wrong-parts", "scalar", "3-D"],
     )
-    def test_query_must_be_one_row_of_the_training_parts(
-        self, blob_dataset, fn, query, message
-    ):
+    def test_queries_follow_the_one_shape_rule(self, blob_dataset, fn, query, message):
+        # classify and membership_scores take queries as pairwise_distances does
         with pytest.raises(DimensionMismatch, match=message):
             fn(blob_dataset, query, NeighborConfig(1, MetricSpec("esov")))
 
@@ -310,7 +316,7 @@ class TestClassify:
             rows, blob_dataset.labels, blob_dataset.classes, ("Na", "Mg", "Al", "Si")
         )
         config = NeighborConfig(1, MetricSpec("aitchison"))
-        msg = "^training row 17, column Mg is zero$"
+        msg = "^dataset row 17, column Mg is zero$"
         with pytest.raises(ZeroInAitchison, match=msg):
             call(data, config)
 
@@ -476,6 +482,92 @@ class TestMembershipScores:
                 winner = classify(blob_dataset, q, config)
                 scores = membership_scores(blob_dataset, q, config)
                 assert scores[winner] == scores.max()
+
+
+
+# the five families, two power families at negative alpha (no zero parts)
+STACK_SPECS = [
+    MetricSpec("esov", 0.5), MetricSpec("esov", -0.5), MetricSpec("tc", 1.0),
+    MetricSpec("tc", -0.5), MetricSpec("aitchison"), MetricSpec("hellinger"),
+    MetricSpec("angular"),
+]
+
+
+def small_blocks(monkeypatch, pruned):
+    """5-row blocks and 5-column tiles of 3-part rows, so a stack spans many
+    blocks; pruned, a dataset ranked against itself is pruned too, whatever
+    its size and k (as test_walk's small_walk)."""
+    monkeypatch.setattr(knn, "_BLOCK_ROWS", 5)
+    monkeypatch.setattr(knn, "_WALK_ROWS", 5)
+    monkeypatch.setattr(knn, "_TILE_FLOATS", 5 * 5 * 3)
+    if pruned:
+        monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
+        monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
+
+
+class TestStackedQueries:
+    """A stack is one _nearest call and one _vote call; each row's answer is
+    the single query's, bit for bit, on data where ties decide."""
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=repr)
+    @pytest.mark.parametrize("geometry", ["default", "unpruned", "pruned"])
+    def test_stack_equals_the_per_row_loop(self, monkeypatch, caplog, spec, geometry):
+        if geometry != "default":
+            small_blocks(monkeypatch, pruned=geometry == "pruned")
+        caplog.set_level(logging.DEBUG, logger="simplexknn")
+        # lattice points with a duplicated block: distances tie everywhere;
+        # train.rows itself takes the self walk, the other stack query mode
+        train = lattice_dataset(12, interior=spec.needs_positive)
+        midpoints = (train.rows[:30] + train.rows[30:60]) / 2
+        for queries in (train.rows, np.vstack([train.rows[::-2], midpoints])):
+            for k in (1, 4, 9):
+                config = NeighborConfig(k, spec)
+                winners = classify(train, queries, config)
+                scores = membership_scores(train, queries, config)
+                assert winners.shape == (len(queries),) and winners.dtype == np.intp
+                assert scores.shape == (len(queries), train.n_classes)
+                assert winners.tolist() == [classify(train, q, config) for q in queries]
+                loop = np.array([membership_scores(train, q, config) for q in queries])
+                assert np.array_equal(scores.view(np.int64), loop.view(np.int64))
+        pivots = [p for *_, p in walk_records(caplog)]
+        assert len(pivots) == 6  # one self walk per k and function
+        pruned = geometry == "pruned" and spec.family != "angular"
+        assert set(pivots) == {knn._PIVOTS if pruned else 0}
+
+    @pytest.mark.parametrize("spec", STACK_SPECS, ids=repr)
+    def test_training_rows_equal_a_copy_of_them(self, monkeypatch, spec):
+        # the pruned self walk against query mode, each row among its own columns
+        small_blocks(monkeypatch, pruned=True)
+        train = lattice_dataset(12, interior=spec.needs_positive)
+        for k in (1, 3, 8):
+            config = NeighborConfig(k, spec)
+            for fn in (classify, membership_scores):
+                walked = fn(train, train.rows, config)
+                queried = fn(train, train.rows.copy(), config)
+                assert walked.dtype == queried.dtype
+                assert np.array_equal(walked.view(np.int64), queried.view(np.int64))
+
+    def test_one_row_stack_is_the_single_query(self, blob_dataset):
+        config = NeighborConfig(5, MetricSpec("tc", 0.5))
+        query = [0.4, 0.3, 0.2, 0.1]
+        assert classify(blob_dataset, [query], config).tolist() == [
+            classify(blob_dataset, query, config)
+        ]
+        stacked = membership_scores(blob_dataset, [query], config)
+        assert stacked.tolist() == [membership_scores(blob_dataset, query, config).tolist()]
+
+    def test_empty_stack_gives_empty_results(self, blob_dataset):
+        config = NeighborConfig(3, MetricSpec("esov", 0.5))
+        empty = np.empty((0, blob_dataset.n_parts))
+        winners = classify(blob_dataset, empty, config)
+        assert winners.shape == (0,) and winners.dtype == np.intp
+        assert membership_scores(blob_dataset, empty, config).shape == (0, 3)
+
+    def test_stack_errors_name_the_query_row(self, blob_dataset):
+        config = NeighborConfig(1, MetricSpec("esov"))
+        queries = [[0.4, 0.3, 0.2, 0.1], [0.5, 0.5, -0.1, 0.1]]
+        with pytest.raises(NegativeComponent, match="^query row 1, part 2 "):
+            classify(blob_dataset, queries, config)
 
 
 def test_determinism_across_runs(blob_dataset):

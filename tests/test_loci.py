@@ -130,6 +130,20 @@ class TestDistanceField:
         with pytest.raises(DegenerateInput):
             distance_field(MetricSpec("tc"), [np.nan, 0.5, 0.5], 3)
 
+    def test_resolution_follows_the_count_rule(self):
+        # a fractional n used to build lattice parts below zero
+        spec = MetricSpec("esov")
+        with pytest.raises(ValueError, match="^n must be a positive integer, got 2.5$"):
+            distance_field(spec, barycentre(3), 2.5)
+        for bad in (0, True, np.nan):
+            with pytest.raises(ValueError, match="^n must be a positive integer"):
+                distance_field(spec, barycentre(3), bad)
+        with pytest.raises(ValueError, match="^grid resolution n must be at least 2$"):
+            distance_field(spec, barycentre(3), 1)
+        field = distance_field(spec, barycentre(3), np.int64(6))
+        assert type(field.n) is int
+        assert field.values.tolist() == distance_field(spec, barycentre(3), 6.0).values.tolist()
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_each_value_is_the_distance_of_its_point(self, family):
         # the field is one stacked distance call: bit for bit the per-point ones
