@@ -53,9 +53,9 @@ class LabeledDataset:
     labels: np.ndarray
     classes: tuple[str, ...]
     feature_names: tuple[str, ...] | None = field(default=None)
-    # the rows as each MetricSpec prepares them, filled by knn; rows are
-    # read-only, so an entry never goes stale
-    _prepared_rows: dict = field(default_factory=dict, init=False, repr=False)
+    # (spec, rows prepared by it): one entry, the latest spec's, replaced
+    # whole by knn._training_rows; rows are read-only, so it never goes stale
+    _prepared_rows: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)

@@ -10,12 +10,13 @@ Randomness comes from numpy's PCG64 generator seeded with
 SeedSequence((seed, replication_index)), which is documented, 64-bit and
 platform independent.
 
-The grid is evaluated by one shared-split engine. Per alpha, the rows are
-validated and power-transformed once, and the dataset is measured against
-itself in strips, each distance computed once (see knn). Each row keeps only
-its first max(ks) + m columns in (distance, row index) order, so memory is
-O(n * (max(ks) + m)) plus one strip, never n x n. A replication removes
-test_total columns, the row itself among them; filtering a test row's
+The grid is evaluated by one shared-split engine. Per alpha, the rows come
+through knn's training rows (knn._training_rows), validated and
+power-transformed once and held parts-first, and the dataset is measured
+against itself in strips, each distance computed once (see knn). Each row
+keeps only its first max(ks) + m columns in (distance, row index) order, so
+memory is O(n * (max(ks) + m)) plus one strip, never n x n. A replication
+removes test_total columns, the row itself among them; filtering a test row's
 prefix down to the training columns gives exactly the order of a
 per-replication matrix as long as it holds max(ks) of them. The margin m
 (_prefix_margin) is set by the hypergeometric tail of the number of test
@@ -145,6 +146,7 @@ def stratified_holdout(
     class). The stream is fully determined by (seed, replication_index).
     """
     seed = _integer(seed, "seed", positive=False)
+    replication_index = _integer(replication_index, "replication_index", positive=False)
     alloc = allocate_test_counts(data.class_counts(), test_total)
     test_idx = _test_rows(_class_members(data), alloc, seed, replication_index)
     train_idx = np.setdiff1d(np.arange(len(data)), test_idx)
@@ -295,13 +297,13 @@ def _prefix_margin(n: int, test_total: int, kmax: int, B: int) -> int:
     return test_total
 
 
-def _replication_stats(data, prepared, spec, indices, dists, tests, ks):
+def _replication_stats(data, spec, indices, dists, tests, ks):
     """Per-replication statistics of every k from one metric's ranking.
 
     indices and dists are each row's first max(ks) + m columns, from
-    _nearest over the rows prepared by spec; tests is (B, test_total). A
-    block of replications keeps its (rows, columns) arrays within
-    knn._TILE_FLOATS. Logs how many (row, replication) pairs were ranked
+    _nearest over data's training rows under spec; tests is (B,
+    test_total). A block of replications keeps its (rows, columns) arrays
+    within knn._TILE_FLOATS. Logs how many (row, replication) pairs were ranked
     again at DEBUG. Returns accuracy (K, B) in percent, sensitivity and
     specificity (K, C, B).
     """
@@ -314,9 +316,7 @@ def _replication_stats(data, prepared, spec, indices, dists, tests, ks):
     for b0 in range(0, B, per_block):
         reps = slice(b0, b0 + per_block)
         out = acc[:, reps], rates[..., reps]
-        again += _score_block(
-            data, prepared, spec, indices, dists, tests[reps], ks, *out
-        )
+        again += _score_block(data, spec, indices, dists, tests[reps], ks, *out)
     knn._debug(
         "tune prefix: %d columns, %d of %d (row, replication) pairs ranked again",
         width, again, B * test_n,
@@ -332,7 +332,7 @@ def _first_kept(keep, kmax):
     return keep, count[:, -1]
 
 
-def _score_block(data, prepared, spec, indices, dists, tests, ks, acc, rates):
+def _score_block(data, spec, indices, dists, tests, ks, acc, rates):
     """Fill acc (K, reps) and rates (2, K, C, reps) for one block of replications.
 
     A function of its own, so every work array of a block is freed before
@@ -356,7 +356,8 @@ def _score_block(data, prepared, spec, indices, dists, tests, ks, acc, rates):
         # kmax + test_n columns, which always hold kmax training ones. The
         # kernels are bitwise symmetric and the keys (distance, row index),
         # so the query path gives the self walk's bits and order
-        idx, d = _nearest(prepared[rows[short]], prepared, spec, kmax + test_n)
+        prepared = knn._training_rows(data, spec)
+        idx, d = _nearest(prepared[:, rows[short]], prepared, spec, kmax + test_n)
         mask, _ = _first_kept(train[idx + offsets[short, None]], kmax)
         ranked[short, :kmax] = idx[mask].reshape(-1, kmax)
         near[short, :kmax] = d[mask].reshape(-1, kmax)
@@ -457,7 +458,7 @@ def grid_search(
     for mspec in specs:
         alpha = mspec.alpha if power else None
         try:
-            prepared = mspec.prepare(data.rows, "dataset", data.feature_names)
+            prepared = knn._training_rows(data, mspec)
         except SimplexKnnError as exc:
             error = f"{type(exc).__name__}: {exc}"
             cells.extend(
@@ -466,9 +467,7 @@ def grid_search(
             )
             continue
         indices, dists = _nearest(prepared, prepared, mspec, width)
-        acc, sens, spec = _replication_stats(
-            data, prepared, mspec, indices, dists, tests, ks
-        )
+        acc, sens, spec = _replication_stats(data, mspec, indices, dists, tests, ks)
         acc_mean, acc_sd = _mean_sd(acc)
         per_class = _mean_sd(sens) + _mean_sd(spec)  # in GridCell's field order
         for i, k in enumerate(ks):
@@ -488,14 +487,15 @@ def grid_search(
 
 
 def _loocv_neighbours(prepared, spec: MetricSpec, k: int):
-    """(indices, distances), each (n, k): each prepared row's first k others.
+    """(indices, distances), each (n, k): the first k others of each row of
+    prepared (D, n).
 
     Each row is ranked over k + 1 columns, its own among them, and keeps
     the first k that are not its own. Dropping one key from a list sorted
     by (distance, row index) leaves the rest in order, so these are an
     explicit per-row holdout's neighbours and bits, also under angular.
     """
-    n = prepared.shape[0]
+    n = prepared.shape[1]
     if k > n - 1:
         raise InsufficientTraining(f"k={k} exceeds {n - 1} training rows")
     indices, dists = _nearest(prepared, prepared, spec, k + 1)
@@ -511,7 +511,7 @@ def loocv_scores(data: LabeledDataset, config: NeighborConfig) -> np.ndarray:
     O(n * k) plus one strip. Deterministic.
     """
     k = config.k
-    prepared = config.spec.prepare(data.rows, "dataset", data.feature_names)
+    prepared = knn._training_rows(data, config.spec)
     indices, dists = _loocv_neighbours(prepared, config.spec, k)
     _, counts = _vote(dists.T, data.labels[indices].T, (k,), data.n_classes)
     return np.ascontiguousarray(counts.T) / k

@@ -19,14 +19,19 @@ reproducible across runs, platforms and thread schedules:
     or an (m, D) stack by one shape rule (_prepared), so m predictions are
     one ranking and one vote, and one composition is the case m = 1.
 
+Prepared rows come only from _training_rows, which prepares a dataset's
+rows once per spec and keeps them on the dataset, and from _prepared, which
+prepares queries. Both hold them parts-first, (D, n): every array below
+that step, in the walk and in evaluation, has the parts on its first axis.
+
 Every distance is measured by one engine, _walk, in strips: one block of
 query rows against a run of whole kernel tiles of columns. A tile is sized
 by a float budget, rows * columns * parts <= _TILE_FLOATS, so every kernel
 temporary (one float per part of each pair) stays under 128 KiB, and a
-strip holds _TILE_FLOATS distances. Each block of rows is broadcast
-parts-first into a (D, rows, columns) buffer, and every tile is that buffer
-against a (D, 1, columns) view of the training rows, so each elementwise
-pass runs along whole tiles. Queries (classify, membership_scores, pivot
+strip holds _TILE_FLOATS distances. Each block of rows is broadcast into a
+(D, rows, columns) buffer, and every tile is that buffer against a (D, 1,
+columns) view of the training rows, so each elementwise pass runs along
+whole tiles. Queries (classify, membership_scores, pivot
 distances) are measured against every training row. A dataset against
 itself (LOOCV, tune, dist, classify of train.rows) is walked in square
 blocks, each unordered pair of blocks computed at most once and mirrored,
@@ -130,8 +135,9 @@ def _geometry(parts: int, rows: int, pruned: bool) -> tuple[int, int, int]:
 
 
 def _distances(queries: np.ndarray, rows: np.ndarray, spec: MetricSpec) -> np.ndarray:
-    """The (m, n) matrix of distances from prepared queries to prepared rows."""
-    out = np.empty((queries.shape[0], rows.shape[0]))
+    """The (m, n) matrix of distances from prepared queries (D, m) to prepared
+    rows (D, n)."""
+    out = np.empty((queries.shape[1], rows.shape[1]))
     # without kth the walk keeps the rows' order
     for r, c, d in _walk(queries, rows, spec)[1]:
         out[r, c] = d
@@ -139,7 +145,8 @@ def _distances(queries: np.ndarray, rows: np.ndarray, spec: MetricSpec) -> np.nd
 
 
 def _pivot_order(rows: np.ndarray, spec: MetricSpec, size: int):
-    """(order, table): a walk order of the prepared rows and their pivot distances.
+    """(order, table): a walk order of the prepared rows (D, n) and their pivot
+    distances.
 
     _PIVOTS pivots are picked farthest first: the row farthest from row 0,
     then each time the row farthest from row 0 and the pivots so far (the
@@ -150,13 +157,13 @@ def _pivot_order(rows: np.ndarray, spec: MetricSpec, size: int):
     and cut at a block boundary near its middle, so each block holds rows
     close in every pivot distance.
     """
-    n = rows.shape[0]
+    n = rows.shape[1]
     order = np.arange(n)
     table = np.empty((n, _PIVOTS))
-    far = _distances(rows[:1], rows, spec)[0]
+    far = _distances(rows[:, :1], rows, spec)[0]
     for i in range(_PIVOTS):
         p = int(far.argmax())
-        table[:, i] = _distances(rows[p : p + 1], rows, spec)[0]
+        table[:, i] = _distances(rows[:, p : p + 1], rows, spec)[0]
         np.minimum(far, table[:, i], out=far)
     todo = [(0, n)]
     while todo:
@@ -176,11 +183,12 @@ def _pivot_order(rows: np.ndarray, spec: MetricSpec, size: int):
 def _walk(queries, rows, spec: MetricSpec, kth=None):
     """(order, items): the strips of distances from queries to rows.
 
-    Both are prepared by spec.prepare. items yields (r, c, d): d[i, j] is
-    the distance from the query rows at positions r (a slice or an index
-    array) to the rows of indices c, in one strip buffer, so an item is
-    valid until the next. _geometry sizes blocks, tiles and strips, and each
-    entry equals an unblocked kernel call's. There are three modes:
+    Both are prepared by spec and parts-first: queries (D, m) and rows (D,
+    n), rows C-contiguous. items yields (r, c, d): d[i, j] is the distance
+    from the query rows at positions r (a slice or an index array) to the
+    rows of indices c, in one strip buffer, so an item is valid until the
+    next. _geometry sizes blocks, tiles and strips, and each entry equals an
+    unblocked kernel call's. There are three modes:
 
     * Query (queries is not rows): each block of query rows against every
       column, from the first. One query row stays one column wide.
@@ -211,9 +219,8 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
     """
     kernel = spec.kernel
     walk = queries is rows
-    t = np.ascontiguousarray(rows.T)
-    parts, n = t.shape
-    m = queries.shape[0]
+    parts, n = rows.shape
+    m = queries.shape[1]
     pivots = 0 if kth is None else _PIVOTS
     height, width, span = _geometry(parts, m, pivots > 0)
     starts = list(range(0, m, height))
@@ -222,14 +229,14 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
     order = np.arange(n)
     if pivots:
         slack = spec.triangle_slack(parts)
-        order, table = _pivot_order(t.T, spec, height)
-        t = t[:, order]
+        order, table = _pivot_order(rows, spec, height)
+        rows = rows[:, order]
         lo = np.minimum.reduceat(table, starts).T[:, None, :].copy()
         hi = np.maximum.reduceat(table, starts).T[:, None, :].copy()
         # measured[c] has bit a set when block a < c measured the pair (a, c)
         measured = np.zeros((blocks, (blocks + 7) // 8), dtype=np.uint8)
         computed = 0
-    q = t if walk else np.ascontiguousarray(queries.T)
+    q = rows if walk else queries
 
     def pruned(a):
         """Runs of columns to measure row block a against, one list per strip."""
@@ -293,7 +300,7 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
                 for b0, b1 in runs:
                     for c0 in range(b0, b1, width):
                         c1 = min(c0 + width, b1)
-                        tile = kernel(block[:, :h, : c1 - c0], t[:, None, c0:c1])
+                        tile = kernel(block[:, :h, : c1 - c0], rows[:, None, c0:c1])
                         strip[:h, w0 + c0 - b0 : w0 + c1 - b0] = tile
                     w0 += b1 - b0
                 d = strip[:h, :w0]
@@ -324,11 +331,12 @@ def _nearest(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each query row's first kmax training columns by (distance, row index).
 
-    Rows are prepared by spec.prepare and measured by _walk; pass the same
-    array as queries and train to walk a dataset against itself, so each
-    pair of blocks is computed at most once, and pruned where that pays
-    (from _PRUNE_ROWS rows, kmax at most a _PRUNE_SHARE-th of them) and the
-    metric bounds it (angular has no triangle slack). A row is ranked among
+    queries (D, m) and train (D, n) are prepared by spec and measured by
+    _walk; pass the same array as queries and train to walk a dataset
+    against itself, so each pair of blocks is computed at most once, and
+    pruned where that pays (from _PRUNE_ROWS rows, kmax at most a
+    _PRUNE_SHARE-th of them) and the metric bounds it (angular has no
+    triangle slack). A row is ranked among
     its own columns: a caller that holds rows out drops them afterwards.
 
     Each candidate is one complex key, distance + 1j * row index. numpy
@@ -345,13 +353,13 @@ def _nearest(
     rows' order. Returns (indices, distances), each (m, kmax); memory is
     O(m * kmax) plus one strip and one key array (and the walk's own).
     """
-    n = train.shape[0]
+    parts, n = train.shape
     if kmax > n:
         raise InsufficientTraining(f"k={kmax} exceeds {n} training rows")
-    best = np.full((queries.shape[0], kmax), complex(np.inf, n))
-    kth = np.full(queries.shape[0], np.inf)
+    best = np.full((queries.shape[1], kmax), complex(np.inf, n))
+    kth = np.full(queries.shape[1], np.inf)
     prune = queries is train and n >= _PRUNE_ROWS and kmax * _PRUNE_SHARE <= n
-    prune = prune and spec.triangle_slack(train.shape[1]) is not None  # not angular
+    prune = prune and spec.triangle_slack(parts) is not None  # not angular
     order, items = _walk(queries, train, spec, kth if prune else None)
     # the keys of every merge, grown as needed: a strip's keys pass 128 KiB,
     # and a fresh array per merge is faulted in again (17.6k against 11.6k
@@ -384,22 +392,24 @@ def _nearest(
 
 
 def _training_rows(train: LabeledDataset, spec: MetricSpec) -> np.ndarray:
-    """train.rows prepared by spec, once per (dataset, spec): kept on the dataset.
+    """train.rows prepared by spec: a read-only, C-contiguous (D, n) array.
 
-    The rows are stored parts-first, as _walk reads them, and returned as
-    the transposed (n, D) view.
+    The dataset keeps one entry, the latest spec's rows, so each (dataset,
+    spec) is prepared once while it is in use, and a grid of alphas holds
+    one prepared copy at a time. A failed prepare raises and leaves the
+    entry as it was.
     """
-    rows = train._prepared_rows.get(spec)
-    if rows is None:
-        prepared = spec.prepare(train.rows, "dataset", train.feature_names)
-        rows = np.ascontiguousarray(prepared.T).T
+    held, rows = train._prepared_rows
+    if held != spec:
+        rows = spec.prepare(train.rows, "dataset", train.feature_names).T.copy()
         rows.setflags(write=False)
-        train._prepared_rows[spec] = rows
+        object.__setattr__(train, "_prepared_rows", (spec, rows))
     return rows
 
 
 def _prepared(train: LabeledDataset, queries, spec: MetricSpec):
-    """(query rows, training rows) prepared by spec; queries is one row or a stack.
+    """(query rows (D, m), training rows (D, n)) prepared by spec; queries is
+    one row or a stack.
 
     queries that are train.rows itself are returned as both, so _walk
     computes each pair once.
@@ -415,7 +425,7 @@ def _prepared(train: LabeledDataset, queries, spec: MetricSpec):
             f"queries have {q.shape[-1]} parts, training rows have {train.n_parts}"
         )
     return (
-        spec.prepare(q.reshape(-1, train.n_parts), "query"),
+        spec.prepare(q.reshape(-1, train.n_parts), "query").T.copy(),
         _training_rows(train, spec),
     )
 

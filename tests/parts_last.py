@@ -59,6 +59,12 @@ def closed(spec, rows):
     return as_composition(rows)
 
 
+def parts_first(spec, rows):
+    """rows prepared by spec in the layout of knn's walk: a C-contiguous (D, n)
+    array, as knn._training_rows and knn._prepared hand over."""
+    return np.ascontiguousarray(spec.prepare(rows).T)
+
+
 def kernel(spec, x, w):
     """spec's distance between closed rows x and w, parts on the last axis."""
     return KERNELS[spec.family](x, w)

@@ -22,6 +22,7 @@ from simplexknn import (
 )
 from simplexknn import evaluation, knn
 
+import parts_last
 from conftest import compositional_blobs, sparse_compositions
 from test_engine import lattice_dataset
 
@@ -113,6 +114,16 @@ class TestStratifiedHoldout:
         for seed in (1.5, True, np.nan, "1"):
             with pytest.raises(ValueError, match="^seed must be an integer, got"):
                 stratified_holdout(blob_dataset, 6, seed=seed, replication_index=0)
+
+    def test_replication_index_follows_the_integer_rule(self, blob_dataset):
+        want = stratified_holdout(blob_dataset, 6, seed=1, replication_index=3)
+        got = stratified_holdout(blob_dataset, 6, seed=1, replication_index=np.int64(3))
+        assert [d.rows.tolist() for d in got] == [d.rows.tolist() for d in want]
+        # each once gave replication 1's split
+        message = "^replication_index must be an integer, got"
+        for index in (1.5, True, np.True_, "1"):
+            with pytest.raises(ValueError, match=message):
+                stratified_holdout(blob_dataset, 6, seed=1, replication_index=index)
 
     def test_seeds_differ(self, blob_dataset):
         a = stratified_holdout(blob_dataset, 6, seed=1, replication_index=0)
@@ -262,6 +273,36 @@ class TestGridSearch:
         )
         assert "ZeroUnderNegativePower" in result.cell(-0.5, 1).error
         assert result.cell(1.0, 1).error is None
+
+    def test_dataset_keeps_one_prepared_entry(self):
+        # zero parts, so alpha < 0 fails its cells; the dataset keeps the
+        # rows of the last spec that prepared, parts-first, and a failed
+        # prepare leaves that entry as it was
+        rng = np.random.default_rng(91)
+        rows = sparse_compositions(rng, 30, 5, zero_fraction=0.3)
+        data = LabeledDataset(rows, np.arange(30) % 3, ("a", "b", "c"))
+        alphas, ks = [0.5, -0.5, 1.0, -1.0], [1, 3]
+        kwargs = dict(B=3, test_total=6, seed=7)
+        result = grid_search(data, alphas, ks, "esov", **kwargs)
+        assert [c.error is None for c in result.cells] == [True, True, False, False] * 2
+        entry = data._prepared_rows
+        spec, prepared = entry
+        assert spec == MetricSpec("esov", 1.0)
+        assert prepared.shape == (5, 30) and prepared.flags.c_contiguous
+        assert not prepared.flags.writeable
+        assert np.array_equal(prepared, parts_last.parts_first(spec, rows))
+        grid_search(data, [-0.5], ks, "esov", **kwargs)
+        assert data._prepared_rows is entry
+        # each alpha alone on a fresh dataset, and the grid again on this
+        # one, whose entry is filled: the same cells, bit for bit
+        for alpha in alphas:
+            fresh = LabeledDataset(rows, data.labels, data.classes)
+            alone = grid_search(fresh, [alpha], ks, "esov", **kwargs)
+            assert json.dumps([c.to_dict() for c in alone.cells]) == json.dumps(
+                [c.to_dict() for c in result.cells if c.alpha == alpha]
+            )
+        again = grid_search(data, alphas, ks, "esov", **kwargs)
+        assert json.dumps(again.to_dict()) == json.dumps(result.to_dict())
 
     def test_domain_errors_name_dataset_row_and_column(self, blob_dataset):
         rows = np.array(blob_dataset.rows)
@@ -483,7 +524,7 @@ class TestReplicationBlocks:
             rng.dirichlet(np.ones(8), size=n), np.arange(n) % 6, tuple("abcdef")
         )
         spec = MetricSpec("esov", 0.5)
-        rows = spec.prepare(data.rows)
+        rows = parts_last.parts_first(spec, data.rows)
         indices, dists = knn._nearest(rows, rows, spec, width)
         alloc = allocate_test_counts(data.class_counts(), test_total)
         members = evaluation._class_members(data)
@@ -495,7 +536,7 @@ class TestReplicationBlocks:
             tracemalloc.start()
             try:
                 stats = evaluation._replication_stats(
-                    data, rows, spec, indices, dists, tests[:B], ks
+                    data, spec, indices, dists, tests[:B], ks
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:

@@ -15,6 +15,8 @@ from simplexknn import (
     ZeroInAitchison,
     classify,
     distance,
+    grid_search,
+    loocv_scores,
     membership_scores,
     pairwise_distances,
 )
@@ -351,6 +353,17 @@ class TestClassify:
         calls.clear()
         classify(blob_dataset, query, NeighborConfig(3, MetricSpec("tc")))
         assert calls == [(1, d), (n, d)]
+        # every entry point takes the dataset's rows from the one cache: LOOCV
+        # prepares them, and tune, classify, membership_scores and
+        # pairwise_distances with an equal spec reuse them
+        calls.clear()
+        spec = MetricSpec("tc", 0.5)
+        loocv_scores(blob_dataset, NeighborConfig(3, spec))
+        grid_search(blob_dataset, [0.5], [1, 3], "tc", B=2, test_total=6, seed=1)
+        classify(blob_dataset, query, NeighborConfig(3, MetricSpec("tc", 0.5)))
+        membership_scores(blob_dataset, blob_dataset.rows, NeighborConfig(5, spec))
+        pairwise_distances(blob_dataset, blob_dataset.rows[:2], spec)
+        assert calls == [(n, d), (1, d), (2, d)]
 
 
 def ranked(q, train, spec, kmax, loocv):
@@ -361,9 +374,10 @@ def ranked(q, train, spec, kmax, loocv):
 
 
 def diagonal_inf_order(spec, q, train, loocv):
-    """(order, full): a stable argsort of one unblocked call, its diagonal inf
-    with loocv, so that no row is its own neighbour."""
-    full = parts_last.kernel(spec, q[:, None], train[None])
+    """(order, full): a stable argsort of one unblocked call on the parts-first
+    q and train, its diagonal inf with loocv, so that no row is its own
+    neighbour."""
+    full = parts_last.kernel(spec, q.T[:, None], train.T[None])
     if loocv:
         np.fill_diagonal(full, np.inf)
     return np.argsort(full, axis=1, kind="stable"), full
@@ -389,10 +403,10 @@ def test_nearest_matches_full_stable_argsort(monkeypatch, spec, loocv):
     monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
     data = lattice_dataset(8, interior=False)
     n = len(data)
-    train = spec.prepare(data.rows)
+    train = parts_last.parts_first(spec, data.rows)
     # train itself, so tiles are mirrored, and equal values in another
     # array, so every pair is measured; LOOCV only ever ranks train
-    for q in [train] if loocv else [train, train[::-3].copy()]:
+    for q in [train] if loocv else [train, train[:, ::-3].copy()]:
         order, full = diagonal_inf_order(spec, q, train, loocv)
         for kmax in (1, 3, 9, n - 1):
             indices, dists = ranked(q, train, spec, kmax, loocv)
@@ -424,8 +438,8 @@ def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, loocv):
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 6 * 3)
     data = lattice_dataset(8, interior=False)
-    train = spec.prepare(data.rows)
-    n = len(train)
+    train = parts_last.parts_first(spec, data.rows)
+    n = train.shape[1]
     assert (n, n % 18) == (60, 6)
     walk = knn._walk
 
@@ -435,7 +449,7 @@ def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, loocv):
 
     monkeypatch.setattr(knn, "_walk", reversed_walk)
     # train itself; equal values in another array; one query row
-    others = [] if loocv else [train[::-3].copy(), train[5:6].copy()]
+    others = [] if loocv else [train[:, ::-3].copy(), train[:, 5:6].copy()]
     for q in [train, *others]:
         order, full = diagonal_inf_order(spec, q, train, loocv)
         for kmax in (1, 3, 9, n - 1):

@@ -98,12 +98,12 @@ def test_pruned_walk_matches_stable_argsort(
 ):
     # LOOCV ranks kmax + 1 columns, each row among its own, and drops one
     raw = tie_rows(kind, spec.needs_positive)
-    rows = spec.prepare(raw)
-    small_walk(rows.shape[1])
+    rows = parts_last.parts_first(spec, raw)
+    small_walk(raw.shape[1])
     if kind == "copies" and loocv:
         # the last row ranks its own column past the first kmax + 1, so it
         # drops the last one instead; some row drops one of its first kmax
-        own = _nearest(rows, rows, spec, kmax + 1)[0] == np.arange(len(rows))[:, None]
+        own = _nearest(rows, rows, spec, kmax + 1)[0] == np.arange(len(raw))[:, None]
         assert not own[-1].any() and own[:, :kmax].any()
     caplog.set_level(logging.DEBUG, logger="simplexknn")
     if loocv:
@@ -125,8 +125,8 @@ def test_pruned_walk_matches_stable_argsort(
 def test_walk_order_does_not_change_the_result(small_walk, monkeypatch, spec):
     # the pivot order reversed: other blocks, bounds and visiting order
     raw = tie_rows("random", False, seed=3)
-    rows = spec.prepare(raw)
-    small_walk(rows.shape[1])
+    rows = parts_last.parts_first(spec, raw)
+    small_walk(raw.shape[1])
     want = _nearest(rows, rows, spec, 3)
     pivot_order = knn._pivot_order
 
@@ -146,7 +146,7 @@ def test_angular_visits_every_pair(small_walk, caplog):
     caplog.set_level(logging.DEBUG, logger="simplexknn")
     for family in ("hellinger", "angular"):
         spec = MetricSpec(family)
-        rows = spec.prepare(raw)
+        rows = parts_last.parts_first(spec, raw)
         _nearest(rows, rows, spec, 1)
     (_, total, skipped, _), angular = walk_records(caplog)
     assert skipped > 0  # the same rows under a metric prune
@@ -162,7 +162,7 @@ def test_pivot_distances_equal_the_distance_matrix(spec):
     raw = tie_rows("random", spec.needs_positive, seed=9)
     data = LabeledDataset(raw, np.arange(len(raw)) % 3, ("a", "b", "c"))
     full = pairwise_distances(data, data.rows, spec)
-    order, table = knn._pivot_order(spec.prepare(raw), spec, 5)
+    order, table = knn._pivot_order(parts_last.parts_first(spec, raw), spec, 5)
     assert np.array_equal(np.sort(order), np.arange(len(raw)))
     far = full[0].copy()  # farthest first, from row 0
     for i in range(knn._PIVOTS):
@@ -189,18 +189,18 @@ def test_geometry(monkeypatch):
 
 def test_one_record_per_walk_and_none_for_queries(caplog):
     spec = MetricSpec("tc")
-    rows = np.vstack([tie_rows("random", False, seed) for seed in range(6)])
-    rows = spec.prepare(rows)
-    n = len(rows)
+    raw = np.vstack([tie_rows("random", False, seed) for seed in range(6)])
+    rows = parts_last.parts_first(spec, raw)
+    n = len(raw)
     assert n >= knn._PRUNE_ROWS
-    data = LabeledDataset(rows, np.arange(n) % 3, ("a", "b", "c"))
+    data = LabeledDataset(spec.prepare(raw), np.arange(n) % 3, ("a", "b", "c"))
     caplog.set_level(logging.DEBUG, logger="simplexknn")
     _nearest(rows, rows, spec, 3)
     _nearest(rows, rows, spec, n // knn._PRUNE_SHARE + 1)  # too wide a prefix to prune
-    few = rows[: knn._PRUNE_ROWS - 1]
+    few = rows[:, : knn._PRUNE_ROWS - 1]
     _nearest(few, few, spec, 3)  # too few rows
     pairwise_distances(data, data.rows, spec)  # no k-th distance to prune by
-    _nearest(rows[:5].copy(), rows, spec, 3)  # queries: no blocks to skip
+    _nearest(rows[:, :5].copy(), rows, spec, 3)  # queries: no blocks to skip
     records = walk_records(caplog)
     assert [pivots for *_, pivots in records] == [knn._PIVOTS, 0, 0, 0]
     assert all(computed + skipped == total for computed, total, skipped, _ in records)
@@ -212,13 +212,12 @@ def test_one_record_per_walk_and_none_for_queries(caplog):
 def test_triangle_slack_covers_computed_distances(spec, kind):
     # every row is a pivot: the computed triangle inequality may fail, by
     # less than the slack
-    rows = spec.prepare(tie_rows(kind, spec.needs_positive, seed=7))
-    t = np.ascontiguousarray(rows.T)
+    t = parts_last.parts_first(spec, tie_rows(kind, spec.needs_positive, seed=7))
     d = spec.kernel(t[:, :, None], t[:, None, :])
     worst = max(
-        (np.abs(d[:, p, None] - d[None, p, :]) - d).max() for p in range(len(rows))
+        (np.abs(d[:, p, None] - d[None, p, :]) - d).max() for p in range(t.shape[1])
     )
-    assert worst <= spec.triangle_slack(rows.shape[1])
+    assert worst <= spec.triangle_slack(t.shape[0])
 
 
 def test_triangle_slack_per_family():
