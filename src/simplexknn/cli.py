@@ -85,15 +85,9 @@ def parse_grid(text: str, integer: bool = False) -> list:
                 i += 1
         else:
             values.append(_snap(float(chunk)))
-    if integer:
-        out = []
-        for v in values:
-            if np.isfinite(v) and abs(v - round(v)) > 1e-9:
-                raise ValueError(f"grid value {v} is not an integer")
-            out.append(_integer(round(v) if np.isfinite(v) else v, "k"))
-    else:
-        out = values
-    deduped = list(dict.fromkeys(out))
+    if integer:  # whole values as ints, so a k of 0 is reported as typed
+        values = [_integer(int(v) if v.is_integer() else v, "k") for v in values]
+    deduped = list(dict.fromkeys(values))
     if not deduped:
         raise ValueError(f"grid {text!r} is empty")
     return deduped

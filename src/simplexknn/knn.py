@@ -36,7 +36,9 @@ distances) are measured against every training row. A dataset against
 itself (LOOCV, tune, dist, classify of train.rows) is walked in square
 blocks, each unordered pair of blocks computed at most once and mirrored,
 as every kernel is bitwise symmetric; when ranking neighbours the walk also
-skips the blocks that a pivot bound shows cannot hold one (see _walk). Each
+skips the blocks that a pivot bound shows cannot hold one (see _walk),
+taking the rows in an order of its own that it never lets out: each strip
+names its rows and columns by their indices in the arrays walked. Each
 row keeps a running set of its k best (distance, row index) keys and its
 k-th distance; a strip is merged by one partition into the rows whose
 smallest distance in it is at or below that distance, and the sets are
@@ -138,9 +140,8 @@ def _distances(queries: np.ndarray, rows: np.ndarray, spec: MetricSpec) -> np.nd
     """The (m, n) matrix of distances from prepared queries (D, m) to prepared
     rows (D, n)."""
     out = np.empty((queries.shape[1], rows.shape[1]))
-    # without kth the walk keeps the rows' order
-    for r, c, d in _walk(queries, rows, spec)[1]:
-        out[r, c] = d
+    for r, c, d in _walk(queries, rows, spec):
+        out[r[:, None], c] = d
     return out
 
 
@@ -181,13 +182,13 @@ def _pivot_order(rows: np.ndarray, spec: MetricSpec, size: int):
 
 
 def _walk(queries, rows, spec: MetricSpec, kth=None):
-    """(order, items): the strips of distances from queries to rows.
+    """Yield the strips of distances from queries to rows as (r, c, d) items.
 
     Both are prepared by spec and parts-first: queries (D, m) and rows (D,
-    n), rows C-contiguous. items yields (r, c, d): d[i, j] is the distance
-    from the query rows at positions r (a slice or an index array) to the
-    rows of indices c, in one strip buffer, so an item is valid until the
-    next. _geometry sizes blocks, tiles and strips, and each entry equals an
+    n), rows C-contiguous. d[i, j] is the distance from query r[i] to row
+    c[j], where r and c are index arrays into queries and rows, in every
+    mode; d is one strip buffer, so an item is valid until the next.
+    _geometry sizes blocks, tiles and strips, and each entry equals an
     unblocked kernel call's. There are three modes:
 
     * Query (queries is not rows): each block of query rows against every
@@ -196,22 +197,22 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
       its own on; the part of a strip past the row block is yielded again,
       transposed, for its rows, as all kernels are bitwise symmetric. A
       diagonal block is computed in full (angular has d(x, x) > 0).
-    * Pruned self walk (kth given: the running k-th distance of the row at
-      each position, updated by the caller between items; only for a metric
-      with a triangle slack, so never angular): LAESA's pivot
-      elimination (Mico, Oncina & Vidal 1994). For any pivot p, d(x, w) >=
-      |d(x, p) - d(w, p)| - slack (MetricSpec.triangle_slack), so the
-      largest gap, over the pivots, between x's pivot distance and a block's
-      interval of them, less the slack, bounds x's distance to that block;
-      the least over a row block's rows bounds the pair of blocks. Rows go
-      in _pivot_order, returned as order (else None). Each row block visits
-      the blocks not yet measured with it in increasing bound, its own
-      first, a strip of whole blocks at a time, and stops once the bound
-      exceeds the largest k-th distance of its rows; a block whose bound for
-      every row exceeds that row's k-th distance is skipped. Either way no
-      row can gain a neighbour there: an equal distance may still enter
-      with a lower row index, a larger one cannot. Earlier blocks have
-      stopped for good, so a strip is mirrored only into later ones.
+    * Pruned self walk (kth given: kth[i] is row i's running k-th distance,
+      updated by the caller between items; only for a metric with a
+      triangle slack, so never angular): LAESA's pivot elimination (Mico,
+      Oncina & Vidal 1994). For any pivot p, d(x, w) >= |d(x, p) - d(w, p)|
+      - slack (MetricSpec.triangle_slack), so the largest gap, over the
+      pivots, between x's pivot distance and a block's interval of them,
+      less the slack, bounds x's distance to that block; the least over a
+      row block's rows bounds the pair of blocks. The walk takes the rows in
+      _pivot_order, in a permuted copy of its own. Each row block visits the
+      blocks not yet measured with it in increasing bound, its own first, a
+      strip of whole blocks at a time, and stops once the bound exceeds the
+      largest k-th distance of its rows; a block whose bound for every row
+      exceeds that row's k-th distance is skipped. Either way no row can
+      gain a neighbour there: an equal distance may still enter with a
+      lower row index, a larger one cannot. Earlier blocks have stopped for
+      good, so a strip is mirrored only into later ones.
 
     Memory is one strip with its buffers, plus for a pruned walk O(n *
     pivots) for the order and bounds and one bit per pair of blocks. A self
@@ -226,7 +227,7 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
     starts = list(range(0, m, height))
     stops = starts[1:] + [m]
     blocks = len(starts)
-    order = np.arange(n)
+    order = np.arange(n)  # the row index at each walk position
     if pivots:
         slack = spec.triangle_slack(parts)
         order, table = _pivot_order(rows, spec, height)
@@ -236,7 +237,11 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
         # measured[c] has bit a set when block a < c measured the pair (a, c)
         measured = np.zeros((blocks, (blocks + 7) // 8), dtype=np.uint8)
         computed = 0
-    q = rows if walk else queries
+    q, ids = (rows, order) if walk else (queries, np.arange(m))
+
+    def indices(runs):
+        """The row indices at the walk positions of runs, [start, stop) pairs."""
+        return np.concatenate([order[s0:s1] for s0, s1 in runs])
 
     def pruned(a):
         """Runs of columns to measure row block a against, one list per strip."""
@@ -259,7 +264,8 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
         i = 0
         while i < len(todo):
             # the next blocks that fit in one strip and may hold a neighbour
-            limit = kth[a0:a1].max()
+            limits = kth[order[a0:a1]]
+            limit = limits.max()
             j, w = i, 0
             while j < len(todo) and bound[todo[j]] <= limit:
                 w += stops[todo[j]] - starts[todo[j]]
@@ -272,7 +278,7 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
             batch = np.array(sorted(todo[i:j]))
             i = j
             # keep the blocks some row may use
-            batch = batch[(gap[:, batch] <= kth[a0:a1, None]).any(axis=0)]
+            batch = batch[(gap[:, batch] <= limits[:, None]).any(axis=0)]
             computed += batch.size
             measured[batch[batch > a], a >> 3] |= np.uint8(1 << (a & 7))
             runs = []  # adjacent blocks as one run
@@ -284,46 +290,37 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
             if runs:
                 yield runs
 
-    def items():
-        block = np.empty((parts, height, width if height > 1 else 1))
-        strip = np.empty((height, min(span, n)))
-        for a in range(blocks):
-            a0, a1 = starts[a], stops[a]
-            h = a1 - a0
-            block[:, :h] = q[:, a0:a1, None]
-            first = a0 if walk else 0  # unpruned, a walk starts at its own columns
-            strips = pruned(a) if pivots else [
-                [(s0, min(s0 + span, n))] for s0 in range(first, n, span)
-            ]
-            for runs in strips:
-                w0 = 0
-                for b0, b1 in runs:
-                    for c0 in range(b0, b1, width):
-                        c1 = min(c0 + width, b1)
-                        tile = kernel(block[:, :h, : c1 - c0], rows[:, None, c0:c1])
-                        strip[:h, w0 + c0 - b0 : w0 + c1 - b0] = tile
-                    w0 += b1 - b0
-                d = strip[:h, :w0]
-                cols = order[b0:b1] if len(runs) == 1 else np.concatenate(
-                    [order[c0:c1] for c0, c1 in runs]
-                )
-                yield slice(a0, a1), cols, d
-                later = [(max(b0, a1), b1) for b0, b1 in runs if walk and b1 > a1]
-                if later:
-                    mirror = sum(b1 - b0 for b0, b1 in later)
-                    r = slice(*later[0]) if len(later) == 1 else np.concatenate(
-                        [np.arange(b0, b1) for b0, b1 in later]
-                    )
-                    yield r, order[a0:a1], d[:, w0 - mirror :].T
-        if walk:
-            total = blocks * (blocks + 1) // 2
-            done = computed if pivots else total
-            _debug(
-                "self walk: %d of %d block pairs computed, %d skipped, %d pivots",
-                done, total, total - done, pivots,
-            )
-
-    return (order if pivots else None), items()
+    block = np.empty((parts, height, width if height > 1 else 1))
+    strip = np.empty((height, min(span, n)))
+    for a in range(blocks):
+        a0, a1 = starts[a], stops[a]
+        h = a1 - a0
+        block[:, :h] = q[:, a0:a1, None]
+        first = a0 if walk else 0  # unpruned, a walk starts at its own columns
+        strips = pruned(a) if pivots else [
+            [(s0, min(s0 + span, n))] for s0 in range(first, n, span)
+        ]
+        for runs in strips:
+            w0 = 0
+            for b0, b1 in runs:
+                for c0 in range(b0, b1, width):
+                    c1 = min(c0 + width, b1)
+                    tile = kernel(block[:, :h, : c1 - c0], rows[:, None, c0:c1])
+                    strip[:h, w0 + c0 - b0 : w0 + c1 - b0] = tile
+                w0 += b1 - b0
+            d = strip[:h, :w0]
+            yield ids[a0:a1], indices(runs), d
+            later = [(max(b0, a1), b1) for b0, b1 in runs if walk and b1 > a1]
+            if later:
+                mirror = sum(b1 - b0 for b0, b1 in later)
+                yield indices(later), ids[a0:a1], d[:, w0 - mirror :].T
+    if walk:
+        total = blocks * (blocks + 1) // 2
+        done = computed if pivots else total
+        _debug(
+            "self walk: %d of %d block pairs computed, %d skipped, %d pivots",
+            done, total, total - done, pivots,
+        )
 
 
 def _nearest(
@@ -349,9 +346,9 @@ def _nearest(
     rows whose smallest distance in it is at or below that distance: a
     larger one cannot enter, and an equal one may, with a lower row index.
     So the result does not depend on the order of the strips; the kept keys
-    are sorted once at the end, and a walk's positions put back in the
-    rows' order. Returns (indices, distances), each (m, kmax); memory is
-    O(m * kmax) plus one strip and one key array (and the walk's own).
+    are sorted once at the end. Returns (indices, distances), each (m,
+    kmax); memory is O(m * kmax) plus one strip and one key array (and the
+    walk's own).
     """
     parts, n = train.shape
     if kmax > n:
@@ -360,20 +357,18 @@ def _nearest(
     kth = np.full(queries.shape[1], np.inf)
     prune = queries is train and n >= _PRUNE_ROWS and kmax * _PRUNE_SHARE <= n
     prune = prune and spec.triangle_slack(parts) is not None  # not angular
-    order, items = _walk(queries, train, spec, kth if prune else None)
     # the keys of every merge, grown as needed: a strip's keys pass 128 KiB,
     # and a fresh array per merge is faulted in again (17.6k against 11.6k
     # minor faults in an esov roc on 3,000 rows)
     buf = np.empty(0, dtype=complex)
-    for rows, cols, d in items:
+    for rows, cols, d in _walk(queries, train, spec, kth if prune else None):
         h, w = d.shape
         pick = np.flatnonzero(d.min(axis=1) <= kth[rows])
         count = pick.size
         if count == 0:
             continue
         if count < h:  # gathers; else views
-            rows = rows[pick] if isinstance(rows, np.ndarray) else pick + rows.start
-            d = d[pick]
+            rows, d = rows[pick], d[pick]
         if buf.size < h * (kmax + w):
             buf = np.empty(h * (kmax + w), dtype=complex)
         keys = buf[: count * (kmax + w)].reshape(count, kmax + w)
@@ -384,11 +379,7 @@ def _nearest(
         best[rows] = keys[:, :kmax]
         kth[rows] = keys[:, kmax - 1].real
     best.sort(axis=1)
-    rows = slice(None) if order is None else order  # the walk's positions
-    indices, dists = np.empty(best.shape, dtype=np.intp), np.empty(best.shape)
-    indices[rows] = best.imag
-    dists[rows] = best.real
-    return indices, dists
+    return best.imag.astype(np.intp), best.real.copy()
 
 
 def _training_rows(train: LabeledDataset, spec: MetricSpec) -> np.ndarray:

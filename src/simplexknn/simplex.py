@@ -155,11 +155,7 @@ def _checked_power_transform(x, alpha, role="composition", names=None):
     zero = None  # zero parts fail only at alpha < 0
     if alpha < 0:
         zero = ZeroUnderNegativePower, f"is zero under alpha={alpha:g}"
-    return _power_transform(_validated(x, role, names, zero), alpha)
-
-
-def _power_transform(x: np.ndarray, alpha: float) -> np.ndarray:
-    """power_transform of rows checked by _validated (no zero at alpha < 0)."""
+    x = _validated(x, role, names, zero)
     positive = x > 0
     n_positive = positive.sum(axis=-1, keepdims=True)
     if alpha == 0:

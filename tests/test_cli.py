@@ -65,13 +65,16 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("0:1:0")
 
-    def test_non_integer_rejected_for_k(self):
-        with pytest.raises(ValueError):
-            parse_grid("1.5", integer=True)
-
-    @pytest.mark.parametrize("text", ["inf", "nan", "-inf", "3,inf"])
-    def test_non_finite_k_gets_the_shared_message(self, text):
-        with pytest.raises(ValueError, match="k must be a positive integer"):
+    @pytest.mark.parametrize(
+        "text, shown",
+        [("inf", "inf"), ("nan", "nan"), ("-inf", "-inf"), ("3,inf", "inf"),
+         ("1.5", "1.5"), ("2.0000000005", "2.0000000005"), ("1:3:0.5", "1.5"),
+         ("0", "0"), ("-2", "-2")],
+    )
+    def test_non_integer_k_gets_the_shared_message(self, text, shown):
+        # a k grid takes each value by the one count rule, with no tolerance,
+        # and names a whole value as the integer typed
+        with pytest.raises(ValueError, match=f"^k must be a positive integer, got {shown}$"):
             parse_grid(text, integer=True)
 
     @pytest.mark.parametrize(

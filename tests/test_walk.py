@@ -7,7 +7,9 @@ the kernels' rounding (MetricSpec.triangle_slack), so the data here is made
 of the cases where rounding decides: exact duplicates, lattice ties, and
 copies moved by 1 to 3 ulp per part. Neighbours and distance bits must equal
 an unblocked oracle's, whatever is skipped; so must the neighbours LOOCV
-keeps once it has dropped each row's own column.
+keeps once it has dropped each row's own column. In every mode the walk's
+items name their rows and columns by dataset index, whatever order a pruned
+walk takes the rows in.
 """
 
 import logging
@@ -119,6 +121,61 @@ def test_pruned_walk_matches_stable_argsort(
         assert (skipped, pivots) == (0, 0)
     elif kmax == 1:
         assert skipped > 0 and pivots == knn._PIVOTS  # the walk did prune
+
+
+def walk_items(queries, rows, spec, kth=None):
+    """_walk's items, each copied (the strip buffer is reused), after checking
+    that r and c are index arrays that d's shape matches."""
+    items = []
+    for r, c, d in knn._walk(queries, rows, spec, kth):
+        for index in (r, c):
+            assert isinstance(index, np.ndarray) and index.dtype == np.intp
+        assert d.shape == (len(r), len(c))
+        items.append((r.copy(), c.copy(), d.copy()))
+    return items
+
+
+@pytest.mark.parametrize("spec", [MetricSpec("esov", 0.5), MetricSpec("tc")], ids=repr)
+@pytest.mark.parametrize("mode", ["query", "self", "pruned", "pruned at inf"])
+def test_walk_names_rows_and_columns_by_their_indices(small_walk, spec, mode):
+    # every item holds d[i, j] = distance(query r[i], row c[j]), whatever
+    # order a pruned walk takes the rows in
+    raw = tie_rows("random", False, seed=4)
+    small_walk(raw.shape[1])
+    rows = parts_last.parts_first(spec, raw)
+    raw_queries = raw[::-3] if mode == "query" else raw
+    queries = parts_last.parts_first(spec, raw_queries) if mode == "query" else rows
+    full = parts_last.matrix(spec, raw_queries, raw)
+    kth = None  # a pruned walk takes a k-th distance per dataset row
+    if mode == "pruned":
+        kth = np.sort(full, axis=1)[:, 2]
+    elif mode == "pruned at inf":
+        kth = np.full(len(raw), np.inf)
+    seen = np.zeros(full.shape, dtype=int)
+    for r, c, d in walk_items(queries, rows, spec, kth):
+        assert np.array_equal(d.view(np.int64), full[r[:, None], c].view(np.int64))
+        np.add.at(seen, (r[:, None], c), 1)
+    if mode == "pruned":
+        assert seen.max() == 1 and seen.min() == 0  # each pair at most once, some never
+        # yet every pair that may enter a row's first three
+        assert seen[full <= kth[:, None]].all()
+    else:
+        assert (seen == 1).all()
+
+
+@pytest.mark.parametrize("family", ["tc", "angular"])
+def test_nearest_returns_fresh_contiguous_arrays(small_walk, family):
+    # queries; a dataset against itself, pruned under tc, not under angular
+    spec = MetricSpec(family)
+    raw = tie_rows("random", False, seed=6)
+    small_walk(raw.shape[1])
+    rows = parts_last.parts_first(spec, raw)
+    for queries in (rows[:, :7].copy(), rows):
+        indices, dists = _nearest(queries, rows, spec, 3)
+        assert (indices.dtype, dists.dtype) == (np.intp, np.float64)
+        for out in (indices, dists):
+            assert out.shape == (queries.shape[1], 3)
+            assert out.flags.c_contiguous and out.flags.owndata
 
 
 @pytest.mark.parametrize("spec", [MetricSpec("esov", 0.5), MetricSpec("tc")], ids=repr)
