@@ -35,7 +35,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .dataset import DEFAULT_DROP_COLUMNS, LabeledDataset, _read_csv, _write_table
+from .dataset import (
+    _BLOCK_FIELDS,
+    DEFAULT_DROP_COLUMNS,
+    LabeledDataset,
+    _read_blocks,
+    _read_csv,
+    _write_table,
+)
 from .errors import SimplexKnnError
 from .evaluation import auc, grid_search, loocv_scores, roc_curve
 from .knn import NeighborConfig, pairwise_distances
@@ -93,19 +100,25 @@ def parse_grid(text: str, integer: bool = False) -> list:
     return deduped
 
 
-def _load_dataset(args) -> tuple[LabeledDataset, dict]:
+def _drop_columns(args) -> tuple[str, ...]:
     requested = () if args.keep_all else DEFAULT_DROP_COLUMNS
-    requested = tuple(dict.fromkeys(requested + tuple(args.drop or ())))
-    data, dropped = _read_csv(args.input, args.label_column, requested)
-    meta = {
+    return tuple(dict.fromkeys(requested + tuple(args.drop or ())))
+
+
+def _meta(args, names, dropped, n_rows: int, classes) -> dict:
+    return {
         "input": str(args.input),
         "label_column": args.label_column,
-        "columns_used": list(data.feature_names),
+        "columns_used": list(names),
         "columns_dropped": dropped,
-        "n_rows": len(data),
-        "classes": list(data.classes),
+        "n_rows": n_rows,
+        "classes": list(classes),
     }
-    return data, meta
+
+
+def _load_dataset(args) -> tuple[LabeledDataset, dict]:
+    data, dropped = _read_csv(args.input, args.label_column, _drop_columns(args))
+    return data, _meta(args, data.feature_names, dropped, len(data), data.classes)
 
 
 def _envelope(command: str, config: dict) -> dict:
@@ -123,16 +136,19 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_report(args, report: dict, body, header: list[str], columns) -> None:
+def _write_report(args, report: dict, body, header: list[str], blocks) -> None:
     """Write report | body() as JSON, or a CSV plus report as sidecar.
 
-    The CSV is header and the rows of columns (see dataset._write_table).
-    body is called only for JSON.
+    The CSV is header and the rows of blocks, an iterable of row blocks
+    (see dataset._write_table), written whole or not at all; the sidecar is
+    written after the last row, so a report that blocks complete as they
+    are drained (transform's row count) is complete. body is called only
+    for JSON, blocks only for CSV.
     """
     if args.format == "json":
         _write_json(args.output, report | body())
     else:
-        _write_table(args.output, header, columns)
+        _write_table(args.output, header, blocks)
         _write_json(f"{args.output}.meta.json", report)
 
 
@@ -154,36 +170,64 @@ def _cmd_dist(args) -> int:
         _envelope("dist", config),
         lambda: {"matrix": matrix.tolist()},
         ["row"] + [f"r{j}" for j in range(len(data))],
-        [[str(i) for i in range(len(data))], matrix],
+        [[[str(i) for i in range(len(data))], matrix]],
     )
     return 0
 
 
 def _cmd_transform(args) -> int:
-    data, meta = _load_dataset(args)
-    transformed = _checked_power_transform(
-        data.rows, args.alpha, "dataset", data.feature_names
+    blocks = _read_blocks(args.input, args.label_column, _drop_columns(args))
+    names, dropped, catalog = next(blocks)
+    config = dict(
+        _meta(args, names, dropped, 0, ()), alpha=args.alpha, format=args.format
     )
-    ternary = data.n_parts == 3
-    config = dict(meta, alpha=args.alpha, format=args.format)
-    labels = np.asarray(data.classes, dtype=object)[data.labels]
-    # plot coordinates for 3 parts, none otherwise
-    coords = ternary_embed(transformed) if ternary else np.empty((len(data), 0))
-    header = list(data.feature_names) + [args.label_column]
-    header += ["x", "y"] if ternary else []
+    ternary = len(names) == 3
+
+    def transformed():
+        """The rows' blocks as [parts, labels, plot coordinates], (b, 0) for
+        other than 3 parts; once drained, config holds the count and classes.
+        A transform fault is raised after the last block, as reading the
+        whole file first would give it, naming the row by its place in the
+        file."""
+        fault = None
+        n_rows = 0
+        for rows, ids in blocks:
+            if fault is None:
+                try:
+                    parts = _checked_power_transform(rows, args.alpha, "dataset", names)
+                except (SimplexKnnError, ValueError) as exc:
+                    fault = _row_fault(rows, args.alpha, names, n_rows) or exc
+                else:
+                    labels = np.asarray(tuple(catalog), dtype=object)[ids]
+                    coords = ternary_embed(parts) if ternary else parts[:, :0]
+                    yield [parts, labels, coords]
+            n_rows += len(ids)
+        config.update(n_rows=n_rows, classes=list(catalog))
+        if fault is not None:
+            raise fault
+
     _write_report(
         args,
         _envelope("transform", config),
         lambda: {"rows": [
-            {"parts": parts, "label": label, **dict(zip(("x", "y"), xy))}
-            for parts, label, xy in zip(
-                transformed.tolist(), labels.tolist(), coords.tolist()
-            )
+            {"parts": p, "label": label, **dict(zip(("x", "y"), xy))}
+            for parts, labels, coords in transformed()
+            for p, label, xy in zip(parts.tolist(), labels.tolist(), coords.tolist())
         ]},
-        header,
-        [transformed, labels] + ([coords] if ternary else []),
+        list(names) + [args.label_column] + (["x", "y"] if ternary else []),
+        transformed(),
     )
     return 0
+
+
+def _row_fault(rows, alpha, names, first: int) -> Exception | None:
+    """The error _checked_power_transform gives the first row of rows it
+    rejects, naming it as dataset row i, counted from first."""
+    for i, row in enumerate(rows, first):
+        try:
+            _checked_power_transform(row, alpha, f"dataset row {i}", names)
+        except (SimplexKnnError, ValueError) as exc:
+            return exc
 
 
 def _grid_cells_csv(result) -> tuple[list[str], list[list[str]]]:
@@ -207,8 +251,8 @@ def _grid_cells_csv(result) -> tuple[list[str], list[list[str]]]:
         out.append(cell.error or "")
         return out
 
-    # one text column per field: None and the absent error are empty fields
-    return header, list(zip(*map(row, result.cells)))
+    # one block, one text column per field: None and the absent error are empty
+    return header, [list(zip(*map(row, result.cells)))]
 
 
 def _cmd_tune(args) -> int:
@@ -266,7 +310,7 @@ def _cmd_roc(args) -> int:
         _write_table(
             out_dir / name,
             ["threshold", "fpr", "tpr"],
-            [np.column_stack([curve.thresholds, curve.fpr, curve.tpr])],
+            [[np.column_stack([curve.thresholds, curve.fpr, curve.tpr])]],
         )
         aucs[cls] = auc(curve)
         files[cls] = name
@@ -295,17 +339,26 @@ def _cmd_loci(args) -> int:
         "format": args.format,
     }
     report = _envelope("loci", config)
+    report["n_points"] = len(field.values)
     header = ["c1", "c2", "c3", "x", "y", "value"]
-    points = np.column_stack(
-        [field.parts, ternary_embed(field.parts), field.values]
-    )
-    report["n_points"] = len(points)
+
+    def blocks():
+        """The rows in blocks the writer formats whole: no (m, 6) table."""
+        step = _BLOCK_FIELDS // len(header)
+        for i in range(0, len(field.values), step):
+            parts = field.parts[i : i + step]
+            yield [parts, ternary_embed(parts), field.values[i : i + step]]
+
     _write_report(
         args,
         report,
-        lambda: {"points": [dict(zip(header, row)) for row in points.tolist()]},
+        lambda: {"points": [
+            dict(zip(header, row))
+            for columns in blocks()
+            for row in np.column_stack(columns).tolist()
+        ]},
         header,
-        [points],
+        blocks(),
     )
     return 0
 

@@ -3,22 +3,33 @@
 CSV files need a header row; every non-label column must be numeric and
 non-negative. Rows whose parts already sum to 1 (within 1e-9) are kept
 bit-for-bit; anything else (percentages, raw amounts) is closed to unit sum
-on ingestion. Input is parsed a block of _READ_ROWS rows at a time, so no
-Python object per row outlives its block.
+on ingestion. The one parser, _read_blocks, yields closed blocks of at most
+_READ_ROWS rows, so no Python object per row outlives its block and a
+caller that streams the blocks (the transform command) holds one block at
+a time. Errors come as a whole-file read gives them: a parse error (field
+count, empty label, non-numeric part) when its line is reached; else, once
+the last row is read, the file's domain fault as simplex._domain_fault
+ranks it (the first non-finite part, else the first negative one, else the
+first all-zero row). No block is yielded after a block with a domain fault.
 
 Output format, for write_csv and every CSV the command line writes: floats
 are Python repr (the shortest text that reads back to the same bits), rows
 end in \\r\\n, and text is quoted only when it holds a comma, a double quote
 or a line break, as csv's default dialect does; an empty field is written
-as nothing. Input and output files are UTF-8 whatever the locale. Rows are
-formatted a block of at most _BLOCK_FIELDS fields at a time, and each
-distinct float of a block is formatted once.
+as nothing. Input and output files are UTF-8 whatever the locale. The one
+writer, _write_table, takes rows as an iterable of blocks and formats them
+at most _BLOCK_FIELDS fields at a time, each distinct float of such a piece
+once. A regular file is written whole or not at all: the rows go to a new
+file beside it, which replaces it only once the last block is written.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -59,7 +70,7 @@ class LabeledDataset:
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)
-        labels = np.array(self.labels, dtype=np.intp)
+        labels = _whole(self.labels, "labels")
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise ValueError(f"rows must be (n, D>=2), got shape {rows.shape}")
         if labels.ndim != 1 or labels.shape[0] != rows.shape[0]:
@@ -99,8 +110,13 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.n_classes)
 
     def subset(self, indices) -> "LabeledDataset":
-        """A new dataset holding the given rows; catalog and names carry over."""
-        idx = np.asarray(indices, dtype=np.intp)
+        """A new dataset holding the given rows; catalog and names carry over.
+
+        indices are row numbers or, as in numpy indexing, a boolean mask.
+        """
+        idx = np.asarray(indices)
+        if idx.dtype != bool:
+            idx = _whole(idx, "indices")
         return LabeledDataset(
             self.rows[idx], self.labels[idx], self.classes, self.feature_names
         )
@@ -113,6 +129,17 @@ class LabeledDataset:
             and self.classes == other.classes
             and self.feature_names == other.feature_names
         )
+
+
+def _whole(values, name: str) -> np.ndarray:
+    """values as an intp array, by simplex._integer's rule for each value: a
+    whole float such as 1.0 is kept, while a bool or a fraction is an error."""
+    array = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+        whole = array.astype(np.intp)
+    if array.dtype == bool or not np.array_equal(whole, array):
+        raise ValueError(f"{name} must be whole numbers")
+    return whole
 
 
 def ingest_csv(
@@ -135,6 +162,25 @@ def _read_csv(
     path, label_column: str, drop_columns: tuple[str, ...]
 ) -> tuple[LabeledDataset, list[str]]:
     """ingest_csv plus the drop columns that were present in the header."""
+    blocks = _read_blocks(path, label_column, drop_columns)
+    feature_names, dropped, catalog = next(blocks)
+    rows, labels = zip(*blocks)
+    data = LabeledDataset(
+        np.concatenate(rows), np.concatenate(labels), tuple(catalog), feature_names
+    )
+    return data, dropped
+
+
+def _read_blocks(path, label_column: str, drop_columns: tuple[str, ...]):
+    """Parse a CSV as ingest_csv does, a block of rows at a time.
+
+    Yields (feature_names, dropped, catalog) once the header is checked:
+    the part columns, the drop columns present in the header, and the dict
+    label -> class id, which grows in first-appearance order as blocks are
+    read. Then yields each block of at most _READ_ROWS rows as (rows, ids):
+    a closed (b, D) float array and the (b,) class ids of its labels. Errors
+    come in the order the module docstring gives.
+    """
     path = Path(path)
     # utf-8-sig drops the byte-order mark of an Excel "CSV UTF-8" export
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -163,13 +209,14 @@ def _read_csv(
         feature_pos = [header.index(c) for c in feature_names]
 
         catalog: dict[str, int] = {}  # label -> class id, in first-appearance order
-        row_blocks, label_blocks = [], []
+        yield tuple(feature_names), dropped, catalog
         # errors name a record by the physical line it starts on; a quoted
         # field can span lines, so keep (row, first line) of each row that
         # follows a record spanning lines, and of row 0
         starts = [(0, reader.line_num + 1)]
         end = reader.line_num  # the last line read
         n_rows = 0
+        fault = None  # the file's domain fault so far: (rank, row, part, reason)
         while True:
             values: list[float] = []  # this block's parts, row after row
             ids: list[int] = []
@@ -197,16 +244,19 @@ def _read_csv(
                     starts.append((n_rows + len(ids), end + 1))
             if not ids:
                 break
+            rows = np.asarray(values, dtype=float).reshape(-1, len(feature_names))
+            found = _domain_fault(rows)
+            if found is not None:
+                # the whole file's fault: the highest-ranked, then the first
+                rank, _, row, col, reason = found
+                found = rank, n_rows + row, col, reason
+                fault = found if fault is None else min(fault, found)
+            if fault is None:
+                yield _as_composition(rows), np.asarray(ids, dtype=np.intp)
             n_rows += len(ids)
-            row_blocks.append(np.asarray(values, dtype=float))
-            label_blocks.append(np.asarray(ids, dtype=np.intp))
 
-    if not row_blocks:
+    if not n_rows:
         raise IngestionError(f"{path}: no data rows")
-
-    matrix = np.concatenate(row_blocks).reshape(-1, len(feature_names))
-    del row_blocks  # not held while the matrix is checked and closed
-    fault = _domain_fault(matrix)
     if fault is not None:
         _, row, col, reason = fault
         first_row, line = max(start for start in starts if start[0] <= row)
@@ -214,11 +264,6 @@ def _read_csv(
         if col is not None:
             where += f", column {feature_names[col]!r}"
         raise IngestionError(f"{path}: {where} {reason}")
-    matrix = _as_composition(matrix)
-
-    labels = np.concatenate(label_blocks)
-    data = LabeledDataset(matrix, labels, tuple(catalog), tuple(feature_names))
-    return data, dropped
 
 
 def write_csv(data: LabeledDataset, path, label_column: str = "class") -> None:
@@ -227,7 +272,7 @@ def write_csv(data: LabeledDataset, path, label_column: str = "class") -> None:
         f"part{i + 1}" for i in range(data.n_parts)
     )
     labels = np.asarray(data.classes, dtype=object)[data.labels]
-    _write_table(path, [*names, label_column], [data.rows, labels])
+    _write_table(path, [*names, label_column], [[data.rows, labels]])
 
 
 def _float_fields(block: np.ndarray) -> np.ndarray:
@@ -260,32 +305,82 @@ def _quoted(texts) -> dict[str, str]:
     return out
 
 
-def _write_table(path, header: list[str], columns: list) -> None:
-    """Write a header and rows to path in the module's CSV output format.
+@contextmanager
+def _output(path, rows):
+    """path opened to write rows, an iterator, as text in the output encoding.
 
-    columns give each row's fields, left to right: a float array of shape
-    (n,) or (n, w) gives one or w float fields, any other sequence of n str
-    one text field. Rows are formatted and written a block of at most
-    _BLOCK_FIELDS fields at a time.
+    A regular file, or a path not there yet, is written to a new file beside
+    it, which replaces it only when the with block ends without an error,
+    else is removed: path then keeps what it held, or is not made. The new
+    file has the mode opening path for writing leaves: an existing file's,
+    or the umask's for a new one. A device or a FIFO (such as /dev/stdout),
+    and a path with no room for a new file beside it, are written in place.
+    Where path cannot be opened, rows are drained first: an error in them is
+    raised before path's, as when every row was made before path was opened.
     """
-    floats = [isinstance(c, np.ndarray) and c.dtype == float for c in columns]
-    widths = [
-        c.shape[1] if f and c.ndim == 2 else 1 for c, f in zip(columns, floats)
-    ]
-    quoted = [None if f else _quoted(c) for c, f in zip(columns, floats)]
-    n = len(columns[0])
-    step = max(1, _BLOCK_FIELDS // sum(widths))
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    path = Path(path)
+    target = Path(os.path.realpath(path))  # a symlink's target is replaced
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    fh = None
+    if path.is_file() or not path.exists():
+        with suppress(OSError):
+            fh = temp.open("x", newline="", encoding="utf-8")
+    if fh is None:
+        # in place; an error opening path names path, not the new file
+        try:
+            fh = path.open("w", newline="", encoding="utf-8")
+        except OSError:
+            for _ in rows:
+                pass
+            raise
+        with fh:
+            yield fh
+        return
+    try:
+        with fh:
+            if target.exists():
+                os.chmod(temp, stat.S_IMODE(target.stat().st_mode))
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_table(path, header: list[str], blocks) -> None:
+    """Write a header and row blocks to path in the module's CSV output format.
+
+    Each block is a list of columns, the same for every block, giving its
+    rows' fields left to right: a float array of shape (b,) or (b, w) gives
+    one or w float fields, any other sequence of b str one text field. Rows
+    are formatted and written at most _BLOCK_FIELDS fields at a time, and
+    path is written whole or not at all (see _output).
+    """
+    quoted: dict[str, str] = {}  # every text written so far -> its field
+    blocks = iter(blocks)
+    with _output(path, blocks) as fh:
         csv.writer(fh).writerow(header)
-        for r0 in range(0, n, step):
-            r1 = min(r0 + step, n)
-            table = np.empty((r1 - r0, sum(widths)), dtype=object)
-            j = 0
-            for column, width, texts in zip(columns, widths, quoted):
-                block = column[r0:r1]
-                if texts is None:
-                    table[:, j : j + width] = _float_fields(block).reshape(-1, width)
-                else:
-                    table[:, j] = [texts[t] for t in block]
-                j += width
-            fh.write("".join([",".join(row) + "\r\n" for row in table.tolist()]))
+        for columns in blocks:
+            floats = [isinstance(c, np.ndarray) and c.dtype == float for c in columns]
+            widths = [
+                c.shape[1] if f and c.ndim == 2 else 1 for c, f in zip(columns, floats)
+            ]
+            for column, f in zip(columns, floats):
+                if not f:
+                    quoted |= _quoted(t for t in column if t not in quoted)
+            n = len(columns[0])
+            step = max(1, _BLOCK_FIELDS // sum(widths))
+            for r0 in range(0, n, step):
+                r1 = min(r0 + step, n)
+                table = np.empty((r1 - r0, sum(widths)), dtype=object)
+                j = 0
+                for column, width, f in zip(columns, widths, floats):
+                    block = column[r0:r1]
+                    if f:
+                        table[:, j : j + width] = _float_fields(block).reshape(
+                            r1 - r0, width
+                        )
+                    else:
+                        table[:, j] = [quoted[t] for t in block]
+                    j += width
+                fh.write("".join([",".join(row) + "\r\n" for row in table.tolist()]))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
+from .knn import _TILE_FLOATS
 from .metrics import MetricSpec, _measure
 from .simplex import _integer
 
@@ -67,7 +68,12 @@ class DistanceField:
 
 
 def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
-    """distance(spec, lattice point, reference) over the lattice, in one call."""
+    """distance(spec, lattice point, reference) over the lattice.
+
+    Points are prepared and measured a block at a time, each kernel
+    temporary within knn's _TILE_FLOATS floats; a point's distance does not
+    depend on its block, so every value is one distance call's bits.
+    """
     n = _integer(n, "n")
     if n < 2:
         raise ValueError("grid resolution n must be at least 2")
@@ -82,10 +88,15 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
     if spec.needs_positive:
         parts = parts[(parts > 0).all(axis=1)]
 
+    values = np.empty(len(parts))
+    step = _TILE_FLOATS // 3
+    for i in range(0, len(parts), step):
+        block = parts[i : i + step]
+        values[i : i + step] = _measure(spec, spec.prepare(block), prepared)
     return DistanceField(
         n=n,
         spec=spec,
         reference=(float(ref[0]), float(ref[1]), float(ref[2])),
         parts=parts,
-        values=_measure(spec, spec.prepare(parts), prepared),
+        values=values,
     )

@@ -33,21 +33,22 @@ def _domain_fault(rows: np.ndarray):
     The rule, checked in this order over the whole matrix: every part is
     finite, every part is non-negative, and no row has all parts zero. So a
     non-finite part is reported even when an earlier row has a negative one.
-    Returns (error class, row, part, reason); part is None for an all-zero row.
+    Returns (rank, error class, row, part, reason): rank is the broken rule's
+    place in that order, from 0, and part is None for an all-zero row.
     """
-    for bad, error, reason in (
+    for rank, (bad, error, reason) in enumerate((
         (~np.isfinite(rows), DegenerateInput, "contains non-finite parts"),
         (rows < 0, NegativeComponent, "contains negative parts"),
-    ):
+    )):
         if bad.any():
             row, part = np.argwhere(bad)[0]
-            return error, int(row), int(part), reason
+            return rank, error, int(row), int(part), reason
     # parts are finite and non-negative here, so a row sums to 0 exactly when
     # all its parts are 0; a matrix-vector product is the quickest row sum
     empty = rows @ np.ones(rows.shape[-1]) == 0
     if empty.any():
         reason = "is degenerate, all parts are zero"
-        return DegenerateInput, int(empty.argmax()), None, reason
+        return 2, DegenerateInput, int(empty.argmax()), None, reason
     return None
 
 
@@ -66,9 +67,9 @@ def _validated(v, role: str = "composition", names=None, zero=None) -> np.ndarra
     fault = _domain_fault(rows)
     if fault is None and zero is not None and not rows.all():
         row, part = np.argwhere(rows == 0)[0]
-        fault = zero[0], int(row), int(part), zero[1]
+        fault = 3, zero[0], int(row), int(part), zero[1]
     if fault is not None:
-        error, row, part, reason = fault
+        _, error, row, part, reason = fault
         where = role if v.ndim == 1 else f"{role} row {row}"
         if part is not None:
             where += f", part {part}" if names is None else f", column {names[part]}"

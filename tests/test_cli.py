@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from simplexknn import (
     MetricSpec,
     __version__,
     dataset,
+    distance,
     distance_field,
     grid_search,
     ingest_csv,
@@ -523,7 +525,7 @@ class TestCsvWriter:
         texts = ["" if i % 3 else "err, with comma" for i in range(n)]
         header = ["p1", "p,2", "p3", "label", "value", "error"]
         out = tmp_path / "t.csv"
-        dataset._write_table(out, header, [values, labels, values[:, 0], texts])
+        dataset._write_table(out, header, [[values, labels, values[:, 0], texts]])
         expected = [
             _repr_row(v.tolist()) + [lab, repr(float(v[0])), t]
             for v, lab, t in zip(values, labels, texts)
@@ -620,6 +622,166 @@ class TestCsvWriter:
         assert out.read_bytes() == _reference_csv(
             ["c1", "c2", "c3", "x", "y", "value"], expected
         )
+
+
+class TestStreamedTransform:
+    """transform reads, transforms and writes a block of rows at a time, with
+    the outputs and errors of reading the whole file first."""
+
+    # 7 rows on lines 2-8; with 2-row blocks, rows 0-1, 2-3, 4-5 and 6; c
+    # first appears in the third block
+    ROWS = ["0.2,0.3,0.5,a", "0.5,0.25,0.25,b", "70,20,10,a", "1,1,2,b",
+            "0.1,0.1,0.8,c", "0.3,0.3,0.4,a", "5e-324,0.5,0.5,b"]
+
+    @pytest.fixture
+    def blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset, "_READ_ROWS", 2)
+
+    def run(self, tmp_path, edits, *args, out="out.csv"):
+        rows = list(self.ROWS)
+        for row, text in edits.items():
+            rows[row] = text
+        src = tmp_path / "in.csv"
+        src.write_text("a,b,c,kind\n" + "\n".join(rows) + "\n")
+        return main(["transform", "--input", str(src), "--label-column", "kind",
+                     *args, "--output", str(tmp_path / out)])
+
+    FAULTS = {
+        "non-finite-beats-earlier-negative": (
+            {1: "0.5,-0.25,0.25,b", 4: "nan,0.1,0.8,c"}, ["--alpha", "0.5"],
+            "line 6, column 'a' contains non-finite parts"),
+        "negative-beats-earlier-all-zero": (
+            {0: "0,0,0,a", 5: "0.3,-0.3,0.4,a"}, ["--alpha", "0.5"],
+            "line 7, column 'b' contains negative parts"),
+        "first-negative-of-two-blocks": (
+            {2: "70,-20,10,a", 5: "0.3,-0.3,0.4,a"}, ["--alpha", "0.5"],
+            "line 4, column 'b' contains negative parts"),
+        "parse-error-beats-earlier-domain-fault": (
+            {0: "0.2,-0.3,0.5,a", 5: "0.3,oops,0.4,a"}, ["--alpha", "0.5"],
+            "line 7, column 'b': not numeric: 'oops'"),
+        "zero-named-by-its-dataset-row": (
+            {5: "0.3,0.7,0,a"}, ["--alpha=-0.5"],
+            "dataset row 5, column c is zero under alpha=-0.5"),
+        "parse-error-beats-earlier-zero": (
+            {0: "0.2,0,0.8,a", 4: "0.1,0.1,c"}, ["--alpha=-0.5"],
+            "line 6: expected 4 fields, got 3"),
+        "domain-fault-beats-earlier-zero": (
+            {1: "0,0.5,0.5,b", 6: "1,2,inf,b"}, ["--alpha=-0.5"],
+            "line 8, column 'c' contains non-finite parts"),
+        "bad-alpha-after-every-row": (
+            {6: "1,2,3,"}, ["--alpha", "inf"], "line 8: empty label"),
+    }
+
+    @pytest.mark.parametrize("case", FAULTS)
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fault_order_and_no_partial_output(
+        self, blocks, tmp_path, capsys, case, existing, fmt
+    ):
+        edits, args, message = self.FAULTS[case]
+        out = tmp_path / "out.csv"
+        if existing:
+            out.write_bytes(b"kept\r\n")
+        assert self.run(tmp_path, edits, *args, "--format", fmt) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"{message}\n"), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["in.csv", "out.csv"] if existing else ["in.csv"]
+        )
+        if existing:
+            assert out.read_bytes() == b"kept\r\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("alpha", ["0.5", "-2", "0"])
+    def test_blocks_write_the_whole_file_bytes(self, monkeypatch, tmp_path, fmt, alpha):
+        outputs = []
+        for block in (dataset._READ_ROWS, 2, 3):
+            monkeypatch.setattr(dataset, "_READ_ROWS", block)
+            name = f"out{block}.{fmt}"
+            args = [f"--alpha={alpha}", "--format", fmt]
+            assert self.run(tmp_path, {}, *args, out=name) == 0
+            files = [tmp_path / name, tmp_path / f"{name}.meta.json"]
+            outputs.append([f.read_bytes() if f.exists() else None for f in files])
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        report = json.loads(outputs[0][1] or outputs[0][0])
+        assert report["config"]["n_rows"] == 7
+        assert report["config"]["classes"] == ["a", "b", "c"]
+
+    def test_existing_output_keeps_its_mode(self, blocks, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_text("old")
+        out.chmod(0o640)
+        assert self.run(tmp_path, {}, "--alpha", "0.5") == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        fresh = tmp_path / "fresh.csv"
+        with fresh.open("w"):
+            pass
+        assert self.run(tmp_path, {}, "--alpha", "0.5", out="new.csv") == 0
+        assert (tmp_path / "new.csv").stat().st_mode == fresh.stat().st_mode
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_written_in_place(self, blocks, tmp_path):
+        assert self.run(tmp_path, {}, "--alpha", "0.5", out="file.csv") == 0
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the output fits its buffer
+        try:
+            assert self.run(tmp_path, {}, "--alpha", "0.5", out="pipe") == 0
+            got = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        assert got == (tmp_path / "file.csv").read_bytes()
+
+
+def test_loci_of_several_blocks(tmp_path):
+    """A field of 7,381 points, written in blocks, holds one distance call's bits."""
+    spec, reference = MetricSpec("esov", 0.5), [0.1, 0.3, 0.6]
+    out = tmp_path / "field.csv"
+    assert main(["loci", "--family", "esov", "--alpha", "0.5", "--n", "120",
+                 "--reference=0.1,0.3,0.6", "--output", str(out)]) == 0
+    field = distance_field(spec, reference, 120)
+    np.testing.assert_array_equal(field.values, distance(spec, field.parts, reference))
+    points = np.column_stack([field.parts, ternary_embed(field.parts), field.values])
+    expected = [_repr_row(row) for row in points.tolist()]
+    assert out.read_bytes() == _reference_csv(
+        ["c1", "c2", "c3", "x", "y", "value"], expected
+    )
+    meta = json.loads((tmp_path / "field.csv.meta.json").read_text())
+    assert meta["n_points"] == len(field.values) == 121 * 122 // 2
+
+
+def _traced_peak(argv) -> int:
+    """The tracemalloc peak, in bytes, of one main(argv) call."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    def test_transform_peak_does_not_grow_with_rows(self, tmp_path):
+        rng = np.random.default_rng(11)
+        peaks = []
+        for n in (5_000, 50_000):
+            src = tmp_path / f"rows{n}.csv"
+            rows = rng.dirichlet(np.ones(3), size=n).tolist()
+            src.write_text("a,b,c,kind\n" + "".join(
+                f"{a!r},{b!r},{c!r},{'xyz'[i % 3]}\n" for i, (a, b, c) in enumerate(rows)
+            ))
+            peaks.append(_traced_peak(
+                ["transform", "--input", str(src), "--label-column", "kind",
+                 "--alpha", "0.5", "--output", str(tmp_path / "out.csv")]
+            ))
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+    def test_loci_peak_is_near_the_field(self, tmp_path):
+        peak = _traced_peak(["loci", "--family", "esov", "--alpha", "0.5", "--n", "300",
+                             "--output", str(tmp_path / "field.csv")])
+        field = distance_field(MetricSpec("esov", 0.5), [1 / 3] * 3, 300)
+        own = field.parts.nbytes + field.values.nbytes  # 1.4 MiB
+        assert peak < 2.5 * own, peak / own
 
 
 def test_cli_leaves_hashlib_unloaded(tmp_path):

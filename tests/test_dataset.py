@@ -200,3 +200,26 @@ class TestLabeledDataset:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.full((2, 3), 1 / 3), [0], ("only",))
+
+    @pytest.mark.parametrize("labels", [[0.7, 1.9], [True, False], np.array([0.5, 1.0])])
+    def test_fractional_or_boolean_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="labels must be whole numbers"):
+            LabeledDataset(np.full((2, 3), 1 / 3), labels, ("a", "b"))
+
+    def test_whole_float_labels_kept(self):
+        data = LabeledDataset(np.full((2, 3), 1 / 3), [1.0, 0.0], ("a", "b"))
+        assert data.labels.tolist() == [1, 0]
+
+    def test_subset_rejects_fractional_indices(self, blob_dataset):
+        with pytest.raises(ValueError, match="indices must be whole numbers"):
+            blob_dataset.subset([0.5, 2.7])
+        assert blob_dataset.subset([2.0, 0.0]).equals(blob_dataset.subset([2, 0]))
+
+    def test_subset_takes_a_boolean_mask(self):
+        rows = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+        data = LabeledDataset(rows, [0, 1, 0], ("a", "b"))
+        sub = data.subset(np.array([True, False, True]))
+        np.testing.assert_array_equal(sub.rows, rows[[0, 2]])
+        assert sub.labels.tolist() == [0, 0]
+        with pytest.raises(IndexError):  # as numpy indexing: one flag per row
+            data.subset(np.array([True, False]))
