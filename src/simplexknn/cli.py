@@ -39,6 +39,7 @@ from .dataset import (
     _BLOCK_FIELDS,
     DEFAULT_DROP_COLUMNS,
     LabeledDataset,
+    _output,
     _read_blocks,
     _read_csv,
     _write_table,
@@ -131,7 +132,8 @@ def _envelope(command: str, config: dict) -> dict:
 
 
 def _write_json(path, payload: dict) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """payload as indented JSON, written whole or not at all (see dataset._output)."""
+    with _output(path, ()) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -194,9 +196,11 @@ def _cmd_transform(args) -> int:
         for rows, ids in blocks:
             if fault is None:
                 try:
-                    parts = _checked_power_transform(rows, args.alpha, "dataset", names)
+                    parts = _checked_power_transform(
+                        rows, args.alpha, "dataset", names, n_rows
+                    )
                 except (SimplexKnnError, ValueError) as exc:
-                    fault = _row_fault(rows, args.alpha, names, n_rows) or exc
+                    fault = exc
                 else:
                     labels = np.asarray(tuple(catalog), dtype=object)[ids]
                     coords = ternary_embed(parts) if ternary else parts[:, :0]
@@ -218,16 +222,6 @@ def _cmd_transform(args) -> int:
         transformed(),
     )
     return 0
-
-
-def _row_fault(rows, alpha, names, first: int) -> Exception | None:
-    """The error _checked_power_transform gives the first row of rows it
-    rejects, naming it as dataset row i, counted from first."""
-    for i, row in enumerate(rows, first):
-        try:
-            _checked_power_transform(row, alpha, f"dataset row {i}", names)
-        except (SimplexKnnError, ValueError) as exc:
-            return exc
 
 
 def _grid_cells_csv(result) -> tuple[list[str], list[list[str]]]:

@@ -47,7 +47,7 @@ DEFAULT_DROP_COLUMNS = ("RI",)
 # rows parsed into one float array before the next block is read
 _READ_ROWS = 4096
 # fields formatted and written at once, whatever the row width (like
-# knn._TILE_FLOATS): a dist matrix of n columns holds one block of strings
+# metrics._TILE_FLOATS): a dist matrix of n columns holds one block of strings
 _BLOCK_FIELDS = 16 * 1024
 
 

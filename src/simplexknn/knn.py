@@ -55,7 +55,7 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import DimensionMismatch, InsufficientTraining
-from .metrics import MetricSpec
+from .metrics import _TILE_FLOATS, MetricSpec
 from .simplex import _integer
 
 __all__ = [
@@ -88,18 +88,17 @@ class NeighborConfig:
         object.__setattr__(self, "k", _integer(self.k, "k"))
 
 
-# A kernel call measures a tile of at most _TILE_FLOATS floats in each (D,
-# rows, columns) kernel temporary: 120 KiB keeps it below glibc's 128 KiB
-# mmap threshold; at 256 KiB every tile's temporaries were mapped, or trimmed
-# off the heap, and faulted in afresh. Blocks hold at most _BLOCK_ROWS rows,
-# _WALK_ROWS in a pruned walk, which orders its rows by their distances to
-# _PIVOTS pivots; on the 3,000 glass-shaped rows of the benchmark, 4 to 8
-# pivots ranked equally fast. So on 8 parts _geometry gives classify 1 x
-# 1,920 tiles in 15,360-column strips, other queries and the unpruned walk
-# 64 x 30 tiles in 240-column strips, and the pruned walk 40 x 40 tiles in
-# 384-column strips. Memory per call is fixed, whatever the number of rows.
+# A kernel call measures a tile of at most _TILE_FLOATS floats, metrics'
+# budget, in each kernel temporary; the walk and evaluation's replication
+# blocks read this module's binding of it. Blocks hold at most _BLOCK_ROWS
+# rows, _WALK_ROWS in a pruned walk, which orders its rows by their
+# distances to _PIVOTS pivots; on the 3,000 glass-shaped rows of the
+# benchmark, 4 to 8 pivots ranked equally fast. So on 8 parts _geometry
+# gives classify 1 x 1,920 tiles in 15,360-column strips, other queries and
+# the unpruned walk 64 x 30 tiles in 240-column strips, and the pruned walk
+# 40 x 40 tiles in 384-column strips. Memory per call is fixed, whatever
+# the number of rows.
 _BLOCK_ROWS = 64
-_TILE_FLOATS = 15 * 1024
 _WALK_ROWS = 40
 _PIVOTS = 6
 # Ranking a dataset against itself prunes from _PRUNE_ROWS rows, with kmax

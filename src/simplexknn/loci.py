@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .knn import _TILE_FLOATS
-from .metrics import MetricSpec, _measure
+from .metrics import _TILE_FLOATS, MetricSpec, _measure
 from .simplex import _integer
 
 __all__ = [
@@ -71,7 +70,7 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
     """distance(spec, lattice point, reference) over the lattice.
 
     Points are prepared and measured a block at a time, each kernel
-    temporary within knn's _TILE_FLOATS floats; a point's distance does not
+    temporary within metrics' _TILE_FLOATS floats; a point's distance does not
     depend on its block, so every value is one distance call's bits.
     """
     n = _integer(n, "n")

@@ -64,6 +64,13 @@ __all__ = [
 FAMILIES = ("esov", "tc", "aitchison", "hellinger", "angular")
 POWER_FAMILIES = ("esov", "tc")
 
+# A kernel call measures a tile of at most _TILE_FLOATS floats in each (D,
+# rows, columns) kernel temporary: 120 KiB keeps it below glibc's 128 KiB
+# mmap threshold; at 256 KiB every tile's temporaries were mapped, or trimmed
+# off the heap, and faulted in afresh. knn's walk sizes its tiles and strips
+# by it, evaluation its blocks of replications, and loci its lattice blocks.
+_TILE_FLOATS = 15 * 1024
+
 
 @dataclass(frozen=True)
 class MetricSpec:

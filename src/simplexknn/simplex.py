@@ -52,13 +52,16 @@ def _domain_fault(rows: np.ndarray):
     return None
 
 
-def _validated(v, role: str = "composition", names=None, zero=None) -> np.ndarray:
+def _validated(
+    v, role: str = "composition", names=None, zero=None, first: int = 0
+) -> np.ndarray:
     """v as a float array whose rows follow the composition rule.
 
     zero is (error class, reason) where a zero part is outside the domain;
     that check runs last. Errors name the offending row as "{role} row i"
-    when v is stacked, and the part as "part j", or "column NAME" when names
-    (one per column) is given.
+    when v is stacked, counting from first (a block's place in its file),
+    and the part as "part j", or "column NAME" when names (one per column)
+    is given.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim == 0 or v.shape[-1] < 2:
@@ -70,7 +73,7 @@ def _validated(v, role: str = "composition", names=None, zero=None) -> np.ndarra
         fault = 3, zero[0], int(row), int(part), zero[1]
     if fault is not None:
         _, error, row, part, reason = fault
-        where = role if v.ndim == 1 else f"{role} row {row}"
+        where = role if v.ndim == 1 else f"{role} row {first + row}"
         if part is not None:
             where += f", part {part}" if names is None else f", column {names[part]}"
         raise error(f"{where} {reason}")
@@ -149,14 +152,14 @@ def _integer(value, name: str, positive: bool = True) -> int:
     return int(value)
 
 
-def _checked_power_transform(x, alpha, role="composition", names=None):
+def _checked_power_transform(x, alpha, role="composition", names=None, first=0):
     """power_transform naming a fault's row and part, as _validated does: the
     one validate-and-power routine, which MetricSpec.prepare also calls."""
     alpha = _alpha(alpha)
     zero = None  # zero parts fail only at alpha < 0
     if alpha < 0:
         zero = ZeroUnderNegativePower, f"is zero under alpha={alpha:g}"
-    x = _validated(x, role, names, zero)
+    x = _validated(x, role, names, zero, first)
     positive = x > 0
     n_positive = positive.sum(axis=-1, keepdims=True)
     if alpha == 0:

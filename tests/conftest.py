@@ -1,7 +1,13 @@
 """Shared fixtures: synthetic compositional datasets and the optional
-UCI glass file (never bundled; users fetch it themselves)."""
+UCI glass file (never bundled; users fetch it themselves).
+
+bench/ goes on the import path, so tests take their oracle from
+bench/reference.py, the one restatement of the documented formulas that the
+benchmark also checks every output against.
+"""
 
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +16,16 @@ import pytest
 from simplexknn import LabeledDataset, ingest_csv
 from simplexknn.simplex import closure
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
 GLASS_HEADER = ("Id", "RI", "Na", "Mg", "Al", "Si", "K", "Ca", "Ba", "Fe", "Type")
 
 
 def find_glass_file():
     env = os.environ.get("SIMPLEXKNN_GLASS")
     candidates = [Path(env)] if env else []
-    root = Path(__file__).resolve().parent.parent
-    candidates += [root / "data" / "glass.data", root / "data" / "glass.csv"]
+    candidates += [ROOT / "data" / "glass.data", ROOT / "data" / "glass.csv"]
     for path in candidates:
         if path.is_file():
             return path

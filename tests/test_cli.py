@@ -489,6 +489,33 @@ class TestReportFormats:
             header, *rows = csv.reader(fh)
         assert values == from_csv(header, rows)
 
+    @pytest.mark.parametrize("target", ["report", "sidecar", "roc-summary"])
+    def test_failed_json_write_keeps_the_old_file(
+        self, target, data_csv, tmp_path, monkeypatch, capsys
+    ):
+        """A JSON file is whole or not at all, as a CSV is: a write that fails
+        partway leaves the old file's bytes and no temporary file."""
+        if target == "roc-summary":
+            argv = ["roc", "--input", str(data_csv), "--label-column", "kind",
+                    "--family", "tc", "--k", "3", "--output-dir", str(tmp_path)]
+            path = tmp_path / "roc_summary.json"
+        else:
+            fmt = "json" if target == "report" else "csv"
+            argv = ["loci", "--family", "esov", "--n", "8", "--format", fmt,
+                    "--output", str(tmp_path / "out")]
+            path = tmp_path / ("out" if target == "report" else "out.meta.json")
+        path.write_bytes(b"old report\n")
+
+        def dump_partway(obj, fh, **kwargs):
+            fh.write('{\n  "tool": ')
+            raise OSError("no space left")
+
+        monkeypatch.setattr(json, "dump", dump_partway)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: no space left\n"
+        assert path.read_bytes() == b"old report\n"
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
 
 def _reference_csv(header, rows) -> bytes:
     """The CSV bytes of csv.writer's default dialect: the writer's oracle."""

@@ -26,18 +26,9 @@ from simplexknn import (
 )
 from simplexknn import evaluation, knn
 from conftest import compositional_blobs
+from reference import _mean_sd  # NaN-aware mean and sample sd of a column
 
 N_CLASSES = 3
-
-
-def _mean_sd(values):
-    """NaN-aware mean and sample sd of one column of replications."""
-    good = values[~np.isnan(values)]
-    if good.size == 0:
-        return None, None
-    mean = float(good.mean())
-    sd = float(good.std(ddof=1)) if good.size > 1 else 0.0
-    return mean, sd
 
 
 def lattice_dataset(resolution, interior):

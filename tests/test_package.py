@@ -65,3 +65,16 @@ def test_import_loads_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_loci_loads_no_neighbour_engine():
+    """loci takes its tile budget from metrics: importing it loads no knn."""
+    code = (
+        "import sys, simplexknn.loci\n"
+        "assert 'simplexknn.knn' not in sys.modules, 'knn loaded'\n"
+        "assert 'simplexknn.evaluation' not in sys.modules, 'evaluation loaded'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(simplexknn.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
