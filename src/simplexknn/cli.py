@@ -62,6 +62,14 @@ def _snap(value: float) -> float:
     return round(value, 10)
 
 
+def _number(entry: str, where: str) -> float:
+    """float(entry), where a failure names the entry and where it is."""
+    try:
+        return float(entry)
+    except ValueError:
+        raise ValueError(f"entry {entry!r} of {where} is not a number") from None
+
+
 def parse_grid(text: str, integer: bool = False) -> list:
     """Parse 'start:end:step' (inclusive ends) and comma lists; integer: k values."""
     values: list[float] = []
@@ -75,7 +83,7 @@ def parse_grid(text: str, integer: bool = False) -> list:
                 fields.append("1")
             if len(fields) != 3:
                 raise ValueError(f"bad grid syntax {chunk!r}, want start:end:step")
-            start, end, step = (float(f) for f in fields)
+            start, end, step = (_number(f, f"grid {text!r}") for f in fields)
             if not np.isfinite([start, end, step]).all():  # the loop would never end
                 raise ValueError(f"grid range must be finite in {chunk!r}")
             if step <= 0:
@@ -92,7 +100,7 @@ def parse_grid(text: str, integer: bool = False) -> list:
                 values.append(_snap(v))
                 i += 1
         else:
-            values.append(_snap(float(chunk)))
+            values.append(_snap(_number(chunk, f"grid {text!r}")))
     if integer:  # whole values as ints, so a k of 0 is reported as typed
         values = [_integer(int(v) if v.is_integer() else v, "k") for v in values]
     deduped = list(dict.fromkeys(values))
@@ -318,10 +326,11 @@ def _cmd_roc(args) -> int:
 
 
 def _cmd_loci(args) -> int:
+    text = args.reference
     reference = (
         barycentre(3)
-        if args.reference is None
-        else np.asarray([float(t) for t in args.reference.split(",")], dtype=float)
+        if text is None
+        else np.asarray([_number(t, f"--reference {text!r}") for t in text.split(",")])
     )
     spec = MetricSpec(args.family, args.alpha)
     field = distance_field(spec, reference, args.n)

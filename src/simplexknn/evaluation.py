@@ -24,7 +24,7 @@ rows in a prefix, so that fewer than one (row, replication) pair is
 expected to run short over all B splits; a pair that does is ranked again
 against the whole dataset over max(ks) + test_total columns, which always
 hold enough, with the same kernels and keys, so it gets the same bits and
-order. Replications go in blocks sized like a tile (knn._TILE_FLOATS), so
+order. Replications go in blocks sized like a tile (metrics._TILE_FLOATS), so
 memory does not grow with B: one gather, mask lookup and cumsum filter a
 block, one knn._vote votes every k, and two bincounts count the true
 positives and the predictions of every (k, replication, class), from which
@@ -49,7 +49,7 @@ from .errors import (
     SimplexKnnError,
     UndefinedRoc,
 )
-from . import knn
+from . import knn, metrics
 from .knn import NeighborConfig, _nearest, _vote
 from .metrics import POWER_FAMILIES, MetricSpec
 from .simplex import _integer
@@ -303,13 +303,13 @@ def _replication_stats(data, spec, indices, dists, tests, ks):
     indices and dists are each row's first max(ks) + m columns, from
     _nearest over data's training rows under spec; tests is (B,
     test_total). A block of replications keeps its (rows, columns) arrays
-    within knn._TILE_FLOATS. Logs how many (row, replication) pairs were ranked
-    again at DEBUG. Returns accuracy (K, B) in percent, sensitivity and
+    within metrics._TILE_FLOATS. Logs how many (row, replication) pairs were
+    ranked again at DEBUG. Returns accuracy (K, B) in percent, sensitivity and
     specificity (K, C, B).
     """
     B, test_n = tests.shape
     width = indices.shape[1]
-    per_block = max(1, knn._TILE_FLOATS // (test_n * width))
+    per_block = max(1, metrics._TILE_FLOATS // (test_n * width))
     acc = np.empty((len(ks), B))
     rates = np.empty((2, len(ks), data.n_classes, B))  # sensitivity, specificity
     again = 0

@@ -43,7 +43,8 @@ row keeps a running set of its k best (distance, row index) keys and its
 k-th distance; a strip is merged by one partition into the rows whose
 smallest distance in it is at or below that distance, and the sets are
 sorted once at the end. So memory is O(n * (k + pivots)) plus one strip, a
-few buffers of its size and one bit per pair of blocks.
+few buffers of its size and, in a pruned walk, a (blocks, blocks) bool
+table of the block pairs measured.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ import numpy as np
 
 from .dataset import LabeledDataset
 from .errors import DimensionMismatch, InsufficientTraining
-from .metrics import _TILE_FLOATS, MetricSpec
+from . import metrics
+from .metrics import MetricSpec
 from .simplex import _integer
 
 __all__ = [
@@ -88,16 +90,16 @@ class NeighborConfig:
         object.__setattr__(self, "k", _integer(self.k, "k"))
 
 
-# A kernel call measures a tile of at most _TILE_FLOATS floats, metrics'
-# budget, in each kernel temporary; the walk and evaluation's replication
-# blocks read this module's binding of it. Blocks hold at most _BLOCK_ROWS
-# rows, _WALK_ROWS in a pruned walk, which orders its rows by their
-# distances to _PIVOTS pivots; on the 3,000 glass-shaped rows of the
-# benchmark, 4 to 8 pivots ranked equally fast. So on 8 parts _geometry
-# gives classify 1 x 1,920 tiles in 15,360-column strips, other queries and
-# the unpruned walk 64 x 30 tiles in 240-column strips, and the pruned walk
-# 40 x 40 tiles in 384-column strips. Memory per call is fixed, whatever
-# the number of rows.
+# A kernel call measures a tile of at most metrics._TILE_FLOATS floats in
+# each kernel temporary; _geometry reads the budget when it is called, as
+# evaluation's replication blocks and loci's lattice blocks do. Blocks hold
+# at most _BLOCK_ROWS rows, _WALK_ROWS in a pruned walk, which orders its
+# rows by their distances to _PIVOTS pivots; on the 3,000 glass-shaped rows
+# of the benchmark, 4 to 8 pivots ranked equally fast. So on 8 parts
+# _geometry gives classify 1 x 1,920 tiles in 15,360-column strips, other
+# queries and the unpruned walk 64 x 30 tiles in 240-column strips, and the
+# pruned walk 40 x 40 tiles in strips of 9 blocks (360 columns). Memory per
+# call is fixed, whatever the number of rows.
 _BLOCK_ROWS = 64
 _WALK_ROWS = 40
 _PIVOTS = 6
@@ -127,12 +129,13 @@ def _geometry(parts: int, rows: int, pruned: bool) -> tuple[int, int, int]:
     takes its columns a block at a time, no wider than a block. A strip is
     never narrower than a block, so a walk's diagonal block lies in one.
     """
+    floats = metrics._TILE_FLOATS
     cap = _WALK_ROWS if pruned else _BLOCK_ROWS
-    height = max(1, min(cap, _TILE_FLOATS // parts, rows))
-    width = max(1, _TILE_FLOATS // (parts * height))
+    height = max(1, min(cap, floats // parts, rows))
+    width = max(1, floats // (parts * height))
     if pruned:
         width = min(width, height)
-    return height, width, max(height, _TILE_FLOATS // height)
+    return height, width, max(height, floats // height)
 
 
 def _distances(queries: np.ndarray, rows: np.ndarray, spec: MetricSpec) -> np.ndarray:
@@ -204,18 +207,24 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
       pivots, between x's pivot distance and a block's interval of them,
       less the slack, bounds x's distance to that block; the least over a
       row block's rows bounds the pair of blocks. The walk takes the rows in
-      _pivot_order, in a permuted copy of its own. Each row block visits the
-      blocks not yet measured with it in increasing bound, its own first, a
-      strip of whole blocks at a time, and stops once the bound exceeds the
-      largest k-th distance of its rows; a block whose bound for every row
-      exceeds that row's k-th distance is skipped. Either way no row can
-      gain a neighbour there: an equal distance may still enter with a
-      lower row index, a larger one cannot. Earlier blocks have stopped for
-      good, so a strip is mirrored only into later ones.
+      _pivot_order, in a permuted copy of its own. Row block a lists the
+      blocks b not yet measured with it (measured[b, a] unset, a bool pair
+      table) in increasing bound, its own first, and takes them span //
+      height at a time: every block but the last has height rows, so a
+      strip of them fits in span columns. Of each window it keeps the
+      blocks whose bound is at most the largest k-th distance of its rows,
+      a prefix, as that limit only falls, and the first window with none
+      ends the row block; a kept block whose bound for every row exceeds
+      that row's k-th distance is skipped. Either way no row can gain a
+      neighbour there: an equal distance may still enter with a lower row
+      index, a larger one cannot. A strip is one run of columns per block,
+      each block it measures marked in measured[a], and it is mirrored
+      only into later blocks, as earlier ones have stopped for good.
 
     Memory is one strip with its buffers, plus for a pruned walk O(n *
-    pivots) for the order and bounds and one bit per pair of blocks. A self
-    walk logs the block pairs computed and skipped, and the pivots, at DEBUG.
+    pivots) for the order and bounds and one byte per pair of blocks. A
+    self walk logs the block pairs computed (in a pruned walk, the pairs
+    marked in measured) and skipped, and the pivots, at DEBUG.
     """
     kernel = spec.kernel
     walk = queries is rows
@@ -233,9 +242,7 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
         rows = rows[:, order]
         lo = np.minimum.reduceat(table, starts).T[:, None, :].copy()
         hi = np.maximum.reduceat(table, starts).T[:, None, :].copy()
-        # measured[c] has bit a set when block a < c measured the pair (a, c)
-        measured = np.zeros((blocks, (blocks + 7) // 8), dtype=np.uint8)
-        computed = 0
+        measured = np.zeros((blocks, blocks), dtype=bool)  # [a, b]: a measured b
     q, ids = (rows, order) if walk else (queries, np.arange(m))
 
     def indices(runs):
@@ -244,7 +251,6 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
 
     def pruned(a):
         """Runs of columns to measure row block a against, one list per strip."""
-        nonlocal computed
         a0, a1 = starts[a], stops[a]
         # each row's bound to each block, less the slack; a block's bound is
         # the least of its rows'
@@ -257,37 +263,22 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
         bound = gap.min(axis=0)
         bound[a] = -np.inf
         todo = _stable_order(bound)
-        done = np.unpackbits(measured[a], count=blocks, bitorder="little")
-        todo = todo[done[todo] == 0].tolist()
-        bound = bound.tolist()
-        i = 0
-        while i < len(todo):
-            # the next blocks that fit in one strip and may hold a neighbour
+        todo = todo[~measured[todo, a]]
+        for i in range(0, len(todo), span // height):
+            # the next blocks of a strip that may hold a neighbour: the limit
+            # only falls, so they are a prefix, and none ends the row block
             limits = kth[order[a0:a1]]
-            limit = limits.max()
-            j, w = i, 0
-            while j < len(todo) and bound[todo[j]] <= limit:
-                w += stops[todo[j]] - starts[todo[j]]
-                if j > i and w > span:
-                    break
-                j += 1
-            if j == i:
+            batch = todo[i : i + span // height]
+            batch = batch[bound[batch] <= limits.max()]
+            if batch.size == 0:
                 return
-            # sorted, so the blocks to mirror (b > a) come last
-            batch = np.array(sorted(todo[i:j]))
-            i = j
-            # keep the blocks some row may use
+            # sorted, so the blocks to mirror (b > a) come last; kept where
+            # some row may use them
+            batch.sort()
             batch = batch[(gap[:, batch] <= limits[:, None]).any(axis=0)]
-            computed += batch.size
-            measured[batch[batch > a], a >> 3] |= np.uint8(1 << (a & 7))
-            runs = []  # adjacent blocks as one run
-            for b in batch.tolist():
-                if runs and runs[-1][1] == starts[b]:
-                    runs[-1][1] = stops[b]
-                else:
-                    runs.append([starts[b], stops[b]])
-            if runs:
-                yield runs
+            measured[a, batch] = True
+            if batch.size:
+                yield [(starts[b], stops[b]) for b in batch.tolist()]
 
     block = np.empty((parts, height, width if height > 1 else 1))
     strip = np.empty((height, min(span, n)))
@@ -315,7 +306,7 @@ def _walk(queries, rows, spec: MetricSpec, kth=None):
                 yield indices(later), ids[a0:a1], d[:, w0 - mirror :].T
     if walk:
         total = blocks * (blocks + 1) // 2
-        done = computed if pivots else total
+        done = int(measured.sum()) if pivots else total
         _debug(
             "self walk: %d of %d block pairs computed, %d skipped, %d pivots",
             done, total, total - done, pivots,

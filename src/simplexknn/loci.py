@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .metrics import _TILE_FLOATS, MetricSpec, _measure
+from . import metrics
+from .metrics import MetricSpec, _measure
 from .simplex import _integer
 
 __all__ = [
@@ -88,7 +89,7 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
         parts = parts[(parts > 0).all(axis=1)]
 
     values = np.empty(len(parts))
-    step = _TILE_FLOATS // 3
+    step = metrics._TILE_FLOATS // 3
     for i in range(0, len(parts), step):
         block = parts[i : i + step]
         values[i : i + step] = _measure(spec, spec.prepare(block), prepared)

@@ -68,7 +68,8 @@ POWER_FAMILIES = ("esov", "tc")
 # rows, columns) kernel temporary: 120 KiB keeps it below glibc's 128 KiB
 # mmap threshold; at 256 KiB every tile's temporaries were mapped, or trimmed
 # off the heap, and faulted in afresh. knn's walk sizes its tiles and strips
-# by it, evaluation its blocks of replications, and loci its lattice blocks.
+# by it, evaluation its blocks of replications, and loci its lattice blocks,
+# each reading this binding when called.
 _TILE_FLOATS = 15 * 1024
 
 

@@ -192,6 +192,23 @@ class TestTuneCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize(
+        "flag, text, entry",
+        [("--alphas", "0.5,a", "a"), ("--alphas", "0:x:0.5", "x"),
+         ("--k", "1,3,five", "five"), ("--k", "1:b", "b")],
+    )
+    def test_non_numeric_grid_entry_names_it(self, data_csv, tmp_path, capsys,
+                                             flag, text, entry):
+        rc = main(
+            ["tune", "--input", str(data_csv), "--label-column", "kind",
+             "--family", "esov", f"{flag}={text}", "--test-n", "6", "--seed", "1",
+             "--output", str(tmp_path / "x.json")]
+        )
+        assert rc == 1
+        message = f"error: entry '{entry}' of grid '{text}' is not a number\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "x.json").exists()
+
     def test_every_cell_failing_names_the_cause(self, tmp_path, capsys):
         path = tmp_path / "zero.csv"
         path.write_text("a,b,c,kind\n0.2,0.3,0.5,x\n0,0.2,0.8,y\n"
@@ -344,6 +361,17 @@ class TestLociCommand:
         )
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_reference_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main(
+            ["loci", "--family", "esov", "--n", "3", "--reference=0.2,a,0.5",
+             "--output", str(out)]
+        )
+        assert rc == 1
+        message = "error: entry 'a' of --reference '0.2,a,0.5' is not a number\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
 

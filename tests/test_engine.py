@@ -24,7 +24,7 @@ from simplexknn import (
     sensitivity_specificity,
     stratified_holdout,
 )
-from simplexknn import evaluation, knn
+from simplexknn import evaluation, knn, metrics
 from conftest import compositional_blobs
 from reference import _mean_sd  # NaN-aware mean and sample sd of a column
 
@@ -59,7 +59,7 @@ def small_tiles(monkeypatch):
     """
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(knn, "_WALK_ROWS", 7)
-    monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 5 * 3)
+    monkeypatch.setattr(metrics, "_TILE_FLOATS", 7 * 5 * 3)
     monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
     monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
 

@@ -20,7 +20,7 @@ from simplexknn import (
     sensitivity_specificity,
     stratified_holdout,
 )
-from simplexknn import evaluation, knn
+from simplexknn import evaluation, knn, metrics
 
 import parts_last
 from conftest import compositional_blobs, sparse_compositions
@@ -492,7 +492,8 @@ class TestLoocv:
 
 
 class TestReplicationBlocks:
-    """Replications are voted in blocks of knn._TILE_FLOATS floats per work array."""
+    """Replications are voted in blocks of metrics._TILE_FLOATS floats per work
+    array."""
 
     def test_block_size_leaves_the_grid_unchanged(self, monkeypatch):
         # 1 replication per block, 3 (which does not divide B = 7), and all 7;
@@ -502,11 +503,21 @@ class TestReplicationBlocks:
         ks, test_total, B = (4, 1, 2, 3, 7), 12, 7
         margin = evaluation._prefix_margin(len(data), test_total, max(ks), B)
         per_replication = test_total * (max(ks) + margin)
+        score_block = evaluation._score_block
+        blocks = []  # the replications of each block scored
+
+        def counted(data, spec, indices, dists, tests, *rest):
+            blocks.append(len(tests))
+            return score_block(data, spec, indices, dists, tests, *rest)
+
+        monkeypatch.setattr(evaluation, "_score_block", counted)
         reports = []
         for per_block in (1, 3, B):
-            monkeypatch.setattr(knn, "_TILE_FLOATS", per_block * per_replication)
+            monkeypatch.setattr(metrics, "_TILE_FLOATS", per_block * per_replication)
+            blocks.clear()
             result = grid_search(data, [0.0, 0.5, 1.0], ks, "esov", B, test_total, seed=29)
             reports.append(result.to_dict())
+            assert max(blocks) == per_block  # for each alpha that scored
         assert reports[0] == reports[1] == reports[2]
 
     def test_memory_does_not_grow_with_the_replications(self):
@@ -517,7 +528,7 @@ class TestReplicationBlocks:
         # alive into the next block add about 170 KB here)
         n, ks, test_total = 214, tuple(range(1, 16)), 30
         width = max(ks) + evaluation._prefix_margin(n, test_total, max(ks), 200)
-        per_block = knn._TILE_FLOATS // (test_total * width)
+        per_block = metrics._TILE_FLOATS // (test_total * width)
         assert (width, per_block) == (26, 19)
         rng = np.random.default_rng(43)
         data = LabeledDataset(

@@ -20,7 +20,7 @@ from simplexknn import (
     membership_scores,
     pairwise_distances,
 )
-from simplexknn import knn, simplex
+from simplexknn import knn, metrics, simplex
 from simplexknn.evaluation import _loocv_neighbours
 from simplexknn.knn import _nearest, _vote
 
@@ -96,7 +96,7 @@ class TestPairwiseDistances:
         # side; that is exact only if every kernel is
         if tiles is not None:
             monkeypatch.setattr(knn, "_BLOCK_ROWS", tiles[0])
-            monkeypatch.setattr(knn, "_TILE_FLOATS", tiles[0] * tiles[1] * 9)
+            monkeypatch.setattr(metrics, "_TILE_FLOATS", tiles[0] * tiles[1] * 9)
         rng = np.random.default_rng(7)
         make = positive_compositions if spec.needs_positive else sparse_compositions
         data = LabeledDataset(make(rng, 150, 9), np.arange(150) % 3, ("a", "b", "c"))
@@ -120,7 +120,7 @@ class TestPairwiseDistances:
         # leave a shorter last block; every strip reuses one buffer, so an
         # entry a strip failed to write would keep the last strip's value
         monkeypatch.setattr(knn, "_BLOCK_ROWS", 5)
-        monkeypatch.setattr(knn, "_TILE_FLOATS", 5 * 7 * 9)
+        monkeypatch.setattr(metrics, "_TILE_FLOATS", 5 * 7 * 9)
         rng = np.random.default_rng(11)
         make = positive_compositions if spec.needs_positive else sparse_compositions
         data = LabeledDataset(make(rng, 150, 9), np.arange(150) % 3, ("a", "b", "c"))
@@ -398,7 +398,7 @@ def test_nearest_matches_full_stable_argsort(monkeypatch, spec, loocv):
     # keeps kmax of kmax + 1 columns, up to every other row
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
     monkeypatch.setattr(knn, "_WALK_ROWS", 7)
-    monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 5 * 3)
+    monkeypatch.setattr(metrics, "_TILE_FLOATS", 7 * 5 * 3)
     monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
     monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
     data = lattice_dataset(8, interior=False)
@@ -436,7 +436,7 @@ def test_nearest_does_not_depend_on_strip_order(monkeypatch, spec, loocv):
     # comes from _walk, whose strips are all yielded up front here, before
     # any k-th distance is known, so nothing is pruned.
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 7)
-    monkeypatch.setattr(knn, "_TILE_FLOATS", 7 * 6 * 3)
+    monkeypatch.setattr(metrics, "_TILE_FLOATS", 7 * 6 * 3)
     data = lattice_dataset(8, interior=False)
     train = parts_last.parts_first(spec, data.rows)
     n = train.shape[1]
@@ -512,7 +512,7 @@ def small_blocks(monkeypatch, pruned):
     its size and k (as test_walk's small_walk)."""
     monkeypatch.setattr(knn, "_BLOCK_ROWS", 5)
     monkeypatch.setattr(knn, "_WALK_ROWS", 5)
-    monkeypatch.setattr(knn, "_TILE_FLOATS", 5 * 5 * 3)
+    monkeypatch.setattr(metrics, "_TILE_FLOATS", 5 * 5 * 3)
     if pruned:
         monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
         monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)

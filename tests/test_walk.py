@@ -21,7 +21,7 @@ import pytest
 
 import parts_last
 from simplexknn import LabeledDataset, MetricSpec, pairwise_distances, write_csv
-from simplexknn import knn
+from simplexknn import knn, metrics
 from simplexknn.cli import main
 from simplexknn.evaluation import _loocv_neighbours
 from simplexknn.knn import _nearest
@@ -67,7 +67,7 @@ def small_walk(monkeypatch):
 
     def shrink(parts):
         monkeypatch.setattr(knn, "_WALK_ROWS", 5)
-        monkeypatch.setattr(knn, "_TILE_FLOATS", 5 * 5 * parts)
+        monkeypatch.setattr(metrics, "_TILE_FLOATS", 5 * 5 * parts)
         monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
         monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
 
@@ -163,6 +163,41 @@ def test_walk_names_rows_and_columns_by_their_indices(small_walk, spec, mode):
         assert (seen == 1).all()
 
 
+@pytest.mark.parametrize("spec", [MetricSpec("esov", 0.5), MetricSpec("tc")], ids=repr)
+@pytest.mark.parametrize("mode", ["pruned", "pruned at inf"])
+def test_pruned_strips_are_whole_blocks_and_counted(monkeypatch, caplog, spec, mode):
+    # 5-row blocks and 44-column strips (not a multiple of 5), over 198
+    # rows, so the last block has 3 rows: a strip takes at most 8 blocks,
+    # even where the short block would fit beside them
+    raw = tie_rows("random", False, seed=4)[:198]
+    parts = raw.shape[1]
+    monkeypatch.setattr(knn, "_WALK_ROWS", 5)
+    monkeypatch.setattr(metrics, "_TILE_FLOATS", (5 * 5 + 3) * parts)
+    height, _, span = knn._geometry(parts, len(raw), pruned=True)
+    assert (height, span) == (5, 44)
+    rows = parts_last.parts_first(spec, raw)
+    kth = np.full(len(raw), np.inf)
+    if mode == "pruned":
+        kth = np.sort(parts_last.matrix(spec, raw, raw), axis=1)[:, 2]
+    order, _ = knn._pivot_order(rows, spec, height)
+    block = np.empty(len(raw), dtype=np.intp)  # each row's block in the walk
+    block[order] = np.arange(len(raw)) // height
+    sizes = np.bincount(block)
+    caplog.set_level(logging.DEBUG, logger="simplexknn")
+    pairs = set()
+    for r, c, _ in walk_items(rows, rows, spec, kth):
+        # a strip and its mirror: one block against whole blocks
+        for index in (r, c):
+            held = np.bincount(block[index], minlength=len(sizes))
+            assert ((held == 0) | (held == sizes)).all()
+            assert 1 <= np.count_nonzero(held) <= span // height
+        for a in np.unique(block[r]).tolist():
+            pairs |= {(min(a, b), max(a, b)) for b in np.unique(block[c]).tolist()}
+    [(computed, total, skipped, pivots)] = walk_records(caplog)
+    assert computed == len(pairs) and pivots == knn._PIVOTS
+    assert (skipped > 0) == (mode == "pruned")
+
+
 @pytest.mark.parametrize("family", ["tc", "angular"])
 def test_nearest_returns_fresh_contiguous_arrays(small_walk, family):
     # queries; a dataset against itself, pruned under tc, not under angular
@@ -235,8 +270,8 @@ def test_geometry(monkeypatch):
     assert knn._geometry(8, 214, pruned=False) == (64, 30, 240)
     assert knn._geometry(8, 3000, pruned=True) == (40, 40, 384)
     # a diagonal block fits in one strip, whatever the budget
-    for floats in (knn._TILE_FLOATS, 200, 8):
-        monkeypatch.setattr(knn, "_TILE_FLOATS", floats)
+    for floats in (metrics._TILE_FLOATS, 200, 8):
+        monkeypatch.setattr(metrics, "_TILE_FLOATS", floats)
         for parts in (1, 3, 8, 130, 20000):
             for rows in (1, 7, 64, 3000):
                 for pruned in (False, True):
@@ -312,7 +347,7 @@ def test_cli_output_unchanged_with_debug_logging(tmp_path, monkeypatch, caplog, 
     path = tmp_path / "rows.csv"
     write_csv(LabeledDataset(rows, np.arange(90) % 3, ("a", "b", "c")), path, "kind")
     monkeypatch.setattr(knn, "_WALK_ROWS", 5)
-    monkeypatch.setattr(knn, "_TILE_FLOATS", 5 * 5 * 4)
+    monkeypatch.setattr(metrics, "_TILE_FLOATS", 5 * 5 * 4)
     monkeypatch.setattr(knn, "_PRUNE_ROWS", 0)
     monkeypatch.setattr(knn, "_PRUNE_SHARE", 1)
     common = ["--input", str(path), "--label-column", "kind", "--family", "esov"]
