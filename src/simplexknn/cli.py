@@ -47,7 +47,7 @@ from .dataset import (
 from .errors import SimplexKnnError
 from .evaluation import auc, grid_search, loocv_scores, roc_curve
 from .knn import NeighborConfig, pairwise_distances
-from .loci import DEFAULT_RESOLUTION, distance_field, ternary_embed
+from .loci import DEFAULT_RESOLUTION, _lattice, ternary_embed
 from .metrics import FAMILIES, POWER_FAMILIES, MetricSpec
 from .simplex import _checked_power_transform, _integer, barycentre
 
@@ -152,8 +152,9 @@ def _write_report(args, report: dict, body, header: list[str], blocks) -> None:
     The CSV is header and the rows of blocks, an iterable of row blocks
     (see dataset._write_table), written whole or not at all; the sidecar is
     written after the last row, so a report that blocks complete as they
-    are drained (transform's row count) is complete. body is called only
-    for JSON, blocks only for CSV.
+    are drained (transform's row count, loci's point count) is complete, as
+    is report | body(), joined once body() has run. body is called only for
+    JSON, blocks only for CSV.
     """
     if args.format == "json":
         _write_json(args.output, report | body())
@@ -232,7 +233,9 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _grid_cells_csv(result) -> tuple[list[str], list[list[str]]]:
+def _grid_cells_csv(result):
+    """The tune CSV's header and a generator of its one block, whose cells
+    are formatted only when the CSV is written."""
     header = ["alpha", "k", "mean_accuracy", "sd_accuracy"]
     for cls in result.classes:
         header += [
@@ -253,8 +256,11 @@ def _grid_cells_csv(result) -> tuple[list[str], list[list[str]]]:
         out.append(cell.error or "")
         return out
 
-    # one block, one text column per field: None and the absent error are empty
-    return header, [list(zip(*map(row, result.cells)))]
+    def blocks():
+        # one text column per field: None and the absent error are empty
+        yield list(zip(*map(row, result.cells)))
+
+    return header, blocks()
 
 
 def _cmd_tune(args) -> int:
@@ -333,24 +339,23 @@ def _cmd_loci(args) -> int:
         else np.asarray([_number(t, f"--reference {text!r}") for t in text.split(",")])
     )
     spec = MetricSpec(args.family, args.alpha)
-    field = distance_field(spec, reference, args.n)
+    header = ["c1", "c2", "c3", "x", "y", "value"]
+    # runs the writer formats whole, checked before any output is opened
+    _, reference, runs = _lattice(spec, reference, args.n, _BLOCK_FIELDS // len(header))
     config = {
         "family": args.family,
         "alpha": spec.alpha,
         "n": args.n,
-        "reference": [float(v) for v in field.reference],
+        "reference": list(reference),
         "format": args.format,
     }
     report = _envelope("loci", config)
-    report["n_points"] = len(field.values)
-    header = ["c1", "c2", "c3", "x", "y", "value"]
+    report["n_points"] = 0
 
     def blocks():
-        """The rows in blocks the writer formats whole: no (m, 6) table."""
-        step = _BLOCK_FIELDS // len(header)
-        for i in range(0, len(field.values), step):
-            parts = field.parts[i : i + step]
-            yield [parts, ternary_embed(parts), field.values[i : i + step]]
+        for parts, values in runs:
+            report["n_points"] += len(values)
+            yield [parts, ternary_embed(parts), values]
 
     _write_report(
         args,
@@ -466,6 +471,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SimplexKnnError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -4,6 +4,10 @@ The fields are the raw material for equidistance-loci plots: a triangular
 lattice over the simplex with the distance from every lattice point to a
 reference composition. Contour extraction is left to downstream plotting;
 this module only emits the scalar field.
+
+The lattice is built and measured a run of points at a time (_lattice):
+distance_field joins the runs, and the loci command writes each as it comes,
+so that command's memory does not depend on the resolution n.
 """
 
 from __future__ import annotations
@@ -67,12 +71,15 @@ class DistanceField:
             object.__setattr__(self, name, array)
 
 
-def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
-    """distance(spec, lattice point, reference) over the lattice.
+def _lattice(spec: MetricSpec, reference, n: int, size: int):
+    """Check n and the reference; return n, the reference as 3 floats and an
+    iterator of (parts, values) over runs of at most size lattice points in
+    row-major (i, j) order, less the boundary where spec needs positive parts.
 
-    Points are prepared and measured a block at a time, each kernel
-    temporary within metrics' _TILE_FLOATS floats; a point's distance does not
-    depend on its block, so every value is one distance call's bits.
+    Each point's row is found from its flat index among the row starts, so
+    no array spans the lattice. A run is one kernel call, within
+    metrics._TILE_FLOATS for size up to _TILE_FLOATS // 3, and a point's
+    distance does not depend on its run.
     """
     n = _integer(n, "n")
     if n < 2:
@@ -82,21 +89,32 @@ def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
         raise DimensionMismatch(f"reference needs 3 parts, got shape {ref.shape}")
     prepared = spec.prepare(ref[None, :], "reference")  # an error names the reference
 
-    ii, jj = np.triu_indices(n + 1)
-    jj = jj - ii
-    parts = np.stack([ii, jj, n - ii - jj], axis=1) / n
-    if spec.needs_positive:
-        parts = parts[(parts > 0).all(axis=1)]
+    def runs():
+        # row i holds the n + 1 - i points (i, j), j = 0 .. n - i
+        i = np.arange(n + 1)
+        starts = i * (n + 1) - i * (i - 1) // 2
+        total = (n + 1) * (n + 2) // 2
+        for first in range(0, total, size):
+            flat = np.arange(first, min(first + size, total))
+            ii = np.searchsorted(starts, flat, side="right") - 1
+            jj = flat - starts[ii]
+            parts = np.stack([ii, jj, n - ii - jj], axis=1) / n
+            if spec.needs_positive:
+                parts = parts[(parts > 0).all(axis=1)]
+            yield parts, _measure(spec, spec.prepare(parts), prepared)
 
-    values = np.empty(len(parts))
-    step = metrics._TILE_FLOATS // 3
-    for i in range(0, len(parts), step):
-        block = parts[i : i + step]
-        values[i : i + step] = _measure(spec, spec.prepare(block), prepared)
+    return n, tuple(ref.tolist()), runs()
+
+
+def distance_field(spec: MetricSpec, reference, n: int) -> DistanceField:
+    """distance(spec, lattice point, reference) over the lattice, measured a
+    run at a time (see _lattice): every value is one distance call's bits."""
+    n, ref, runs = _lattice(spec, reference, n, metrics._TILE_FLOATS // 3)
+    parts, values = zip(*runs)
     return DistanceField(
         n=n,
         spec=spec,
-        reference=(float(ref[0]), float(ref[1]), float(ref[2])),
-        parts=parts,
-        values=values,
+        reference=ref,
+        parts=np.concatenate(parts),
+        values=np.concatenate(values),
     )

@@ -26,7 +26,7 @@ from simplexknn import (
     ternary_embed,
     write_csv,
 )
-from simplexknn import evaluation
+from simplexknn import cli, evaluation
 from simplexknn.cli import main, parse_grid
 
 from conftest import compositional_blobs
@@ -280,6 +280,16 @@ class TestTuneCommand:
         assert report["config"]["columns_dropped"] == ["RI"]
         assert report["config"]["columns_used"] == ["a", "b"]
 
+    def test_json_formats_no_csv_cell(self, data_csv, tmp_path, monkeypatch):
+        """The CSV's cells are formatted only when the CSV is written."""
+        calls = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+        assert self.run_tune(data_csv, tmp_path / "grid.json") == 0
+        assert calls == []
+        assert self.run_tune(data_csv, tmp_path / "grid.csv", fmt="csv") == 0
+        assert calls
+
 
 class TestRocCommand:
     def test_glass_yields_six_curve_files(self, glass_csv, tmp_path):
@@ -373,6 +383,51 @@ class TestLociCommand:
         message = "error: entry 'a' of --reference '0.2,a,0.5' is not a number\n"
         assert capsys.readouterr().err == message
         assert not out.exists()
+
+
+class TestLociRuns:
+    """loci writes its field a run at a time: a run of any size gives the bytes
+    of the default run, and an invalid argument fails before any output."""
+
+    @pytest.mark.parametrize("fields", [6, 6 * 7], ids=lambda f: f"{f // 6}-point-runs")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("family, alpha", [("esov", 0.5), ("tc", -0.5),
+                                               ("aitchison", 1.0)])
+    def test_any_run_size_gives_the_same_bytes(
+        self, family, alpha, fmt, fields, tmp_path, monkeypatch
+    ):
+        argv = ["loci", "--family", family, f"--alpha={alpha!r}", "--n", "11",
+                "--reference=0.1,0.3,0.6", "--format", fmt]
+        assert main([*argv, "--output", str(tmp_path / "whole")]) == 0
+        monkeypatch.setattr(cli, "_BLOCK_FIELDS", fields)
+        monkeypatch.setattr(dataset, "_BLOCK_FIELDS", fields)
+        assert main([*argv, "--output", str(tmp_path / "runs")]) == 0
+        names = ["", ".meta.json"] if fmt == "csv" else [""]
+        for name in names:
+            whole = (tmp_path / f"whole{name}").read_bytes()
+            assert (tmp_path / f"runs{name}").read_bytes() == whole
+        report = json.loads((tmp_path / f"runs{names[-1]}").read_text())
+        boundary = 3 * 11 if family != "esov" else 0  # zero parts skipped
+        assert report["n_points"] == 12 * 13 // 2 - boundary
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [
+        ["--n", "1"],
+        ["--n", "0"],
+        ["--reference=0.5,0.5"],
+        ["--alpha=nan"],
+        ["--alpha=-0.5", "--reference=0.5,0.5,0"],
+    ], ids=" ".join)
+    def test_invalid_argument_keeps_the_old_output(self, bad, fmt, tmp_path, capsys):
+        out = tmp_path / "field"
+        files = [out, tmp_path / "field.meta.json"]
+        for path in files:
+            path.write_bytes(b"old output\n")
+        argv = ["loci", "--family", "tc", "--format", fmt, "--output", str(out), *bad]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [path.read_bytes() for path in files] == [b"old output\n"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["field", "field.meta.json"]
 
 
 class TestDistCommand:
@@ -831,12 +886,36 @@ class TestBoundedMemory:
             ))
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
-    def test_loci_peak_is_near_the_field(self, tmp_path):
-        peak = _traced_peak(["loci", "--family", "esov", "--alpha", "0.5", "--n", "300",
-                             "--output", str(tmp_path / "field.csv")])
-        field = distance_field(MetricSpec("esov", 0.5), [1 / 3] * 3, 300)
-        own = field.parts.nbytes + field.values.nbytes  # 1.4 MiB
-        assert peak < 2.5 * own, peak / own
+    def test_loci_peak_does_not_grow_with_n(self, tmp_path):
+        """The field is built, measured and written a run at a time: 16 times
+        the points (5.5 MiB of parts and values at n 600) add no memory."""
+        peaks = [
+            _traced_peak(["loci", "--family", "esov", "--alpha", "0.5", "--n", str(n),
+                          "--output", str(tmp_path / "field.csv")])
+            for n in (150, 600)
+        ]
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+@pytest.mark.parametrize("error, message", [
+    (MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                 "(100000, 100000) and data type float64"),
+     "error: Unable to allocate 74.5 GiB for an array with shape "
+     "(100000, 100000) and data type float64\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_memory_error_is_reported(error, message, data_csv, tmp_path, monkeypatch, capsys):
+    """Running out of memory is one error line and exit status 1, no traceback,
+    and leaves no output behind."""
+    def pairwise_distances(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "pairwise_distances", pairwise_distances)
+    out = tmp_path / "dist.csv"
+    assert main(["dist", "--input", str(data_csv), "--label-column", "kind",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_cli_leaves_hashlib_unloaded(tmp_path):

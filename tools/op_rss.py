@@ -13,6 +13,11 @@ grows). It does so twice:
   * cached: bytecode cached under a temporary PYTHONPYCACHEPREFIX, filled
     by one unmeasured run of each operation.
 
+After the benchmark's operations it prints one probe that the benchmark does
+not run, for information: loci at n 1500 (esov, alpha 0.5), 25 times
+plot-prep's lattice. loci streams its field, so this peak should stay near
+the n-300 operations'.
+
     python tools/op_rss.py
 
 A failing operation makes the exit status non-zero.
@@ -31,6 +36,8 @@ from run import Launcher  # noqa: E402
 
 SEED = 101
 TIMEOUT_S = 300.0
+PROBE = ("loci", "--family", "esov", "--alpha=0.5", "--n", "1500",
+         "--output", "loci-1500.csv")
 
 
 def launchers(tmp: Path) -> dict:
@@ -55,6 +62,20 @@ def main() -> int:
         import workloads
 
         failed = 0
+        cmd = [sys.executable, "-m", "simplexknn.cli"]
+
+        def measure(name, label, argv, work, peaks):
+            """Run argv once with each launcher; print and keep each ru_maxrss."""
+            nonlocal failed
+            runs["cached"].run(cmd + list(argv), work, TIMEOUT_S)  # fills the cache
+            cells = []
+            for key, launcher in runs.items():
+                result = launcher.run(cmd + list(argv), work, TIMEOUT_S)
+                failed += result["exit_code"] != 0
+                peaks[key].append(result["rss_mib"])
+                cells.append(f"{result['rss_mib']:10.2f}")
+            print(f"{name:12s} {label:16s} {' '.join(cells)}", flush=True)
+
         print(f"{'workload':12s} {'operation':16s} {'source MiB':>10s} {'cached MiB':>10s}")
         for name, build in workloads.WORKLOADS.items():
             workload = build(SEED)
@@ -62,20 +83,14 @@ def main() -> int:
             work.mkdir()
             for file, text in workload.inputs.items():
                 (work / file).write_text(text, encoding="utf-8")
-            cmd = [sys.executable, "-m", "simplexknn.cli"]
-            for op in workload.ops:
-                runs["cached"].run(cmd + list(op.argv), work, TIMEOUT_S)  # fills the cache
             peaks = {key: [] for key in runs}
             for op in workload.ops:
-                cells = []
-                for key, launcher in runs.items():
-                    result = launcher.run(cmd + list(op.argv), work, TIMEOUT_S)
-                    failed += result["exit_code"] != 0
-                    peaks[key].append(result["rss_mib"])
-                    cells.append(f"{result['rss_mib']:10.2f}")
-                print(f"{name:12s} {op.name:16s} {' '.join(cells)}", flush=True)
+                measure(name, op.name, op.argv, work, peaks)
             cells = " ".join(f"{max(p):10.2f}" for p in peaks.values())
             print(f"{name:12s} {'(pass maximum)':16s} {cells}", flush=True)
+        work = tmp / "probe"
+        work.mkdir()
+        measure("(probe)", "loci --n 1500", PROBE, work, {key: [] for key in runs})
         for launcher in runs.values():
             launcher.close()
     if failed:
