@@ -17,10 +17,11 @@ are Python repr (the shortest text that reads back to the same bits), rows
 end in \\r\\n, and text is quoted only when it holds a comma, a double quote
 or a line break, as csv's default dialect does; an empty field is written
 as nothing. Input and output files are UTF-8 whatever the locale. The one
-writer, _write_table, takes rows as an iterable of blocks and formats them
-at most _BLOCK_FIELDS fields at a time, each distinct float of such a piece
-once. A regular file is written whole or not at all: the rows go to a new
-file beside it, which replaces it only once the last block is written.
+writer, _write_table, takes rows as an iterable of blocks and writes them
+in pieces of at most _BLOCK_FIELDS fields, each built from one text list per
+column, with each distinct float of a piece formatted once. A regular file
+is written whole or not at all: the rows go to a new file beside it, which
+replaces it only once the last block is written.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -206,8 +208,10 @@ def _read_blocks(path, label_column: str, drop_columns: tuple[str, ...]):
             raise IngestionError(
                 f"{path}: need at least 2 part columns, got {feature_names}"
             )
+        n_fields = len(header)
         label_pos = header.index(label_column)
         feature_pos = [header.index(c) for c in feature_names]
+        parts_of = itemgetter(*feature_pos)  # a tuple: there are 2 or more
 
         catalog: dict[str, int] = {}  # label -> class id, in first-appearance order
         yield tuple(feature_names), dropped, catalog
@@ -223,23 +227,29 @@ def _read_blocks(path, label_column: str, drop_columns: tuple[str, ...]):
             ids: list[int] = []
             for record in islice(reader, _READ_ROWS):
                 line_no, end = end + 1, reader.line_num
-                if len(record) != len(header):
+                if len(record) != n_fields:
                     raise IngestionError(
-                        f"{path}: line {line_no}: expected {len(header)} fields, "
+                        f"{path}: line {line_no}: expected {n_fields} fields, "
                         f"got {len(record)}"
                     )
                 label = record[label_pos].strip()
                 if not label:
                     raise IngestionError(f"{path}: line {line_no}: empty label")
-                for col, pos in zip(feature_names, feature_pos):
-                    token = record[pos].strip()
-                    try:
-                        values.append(float(token))
-                    except ValueError:
-                        raise IngestionError(
-                            f"{path}: line {line_no}, column {col!r}: "
-                            f"not numeric: {token!r}"
-                        ) from None
+                try:
+                    values.extend(map(float, parts_of(record)))
+                except ValueError:
+                    # float strips what str.strip does but \x1c-\x1f: parse
+                    # the row's stripped parts again, naming the first bad one
+                    del values[len(ids) * len(feature_pos) :]
+                    for col, pos in zip(feature_names, feature_pos):
+                        token = record[pos].strip()
+                        try:
+                            values.append(float(token))
+                        except ValueError:
+                            raise IngestionError(
+                                f"{path}: line {line_no}, column {col!r}: "
+                                f"not numeric: {token!r}"
+                            ) from None
                 ids.append(catalog.setdefault(label, len(catalog)))
                 if end != line_no:
                     starts.append((n_rows + len(ids), end + 1))
@@ -276,8 +286,8 @@ def write_csv(data: LabeledDataset, path, label_column: str = "class") -> None:
     _write_table(path, [*names, label_column], [[data.rows, labels]])
 
 
-def _float_fields(block: np.ndarray) -> np.ndarray:
-    """repr of every value of a float block, as an object array of its shape.
+def _float_fields(block: np.ndarray, width: int) -> list[list[str]]:
+    """repr of each value of a float block of width columns, a list per column.
 
     repr runs once per distinct bit pattern: keying on the bits keeps -0.0
     apart from 0.0.
@@ -285,7 +295,7 @@ def _float_fields(block: np.ndarray) -> np.ndarray:
     bits = np.array(block, dtype=float).reshape(-1).view(np.int64)  # a copy
     distinct, inverse = np.unique(bits, return_inverse=True)
     text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return text[inverse].reshape(block.shape)
+    return text[inverse].reshape(len(block), width).T.tolist()
 
 
 def _quoted(texts) -> dict[str, str]:
@@ -354,8 +364,9 @@ def _write_table(path, header: list[str], blocks) -> None:
     Each block is a list of columns, the same for every block, giving its
     rows' fields left to right: a float array of shape (b,) or (b, w) gives
     one or w float fields, any other sequence of b str one text field. Rows
-    are formatted and written at most _BLOCK_FIELDS fields at a time, and
-    path is written whole or not at all (see _output).
+    are written in pieces of at most _BLOCK_FIELDS fields, each joined from
+    one text list per column, and path is written whole or not at all (see
+    _output).
     """
     quoted: dict[str, str] = {}  # every text written so far -> its field
     blocks = iter(blocks)
@@ -372,16 +383,11 @@ def _write_table(path, header: list[str], blocks) -> None:
             n = len(columns[0])
             step = max(1, _BLOCK_FIELDS // sum(widths))
             for r0 in range(0, n, step):
-                r1 = min(r0 + step, n)
-                table = np.empty((r1 - r0, sum(widths)), dtype=object)
-                j = 0
+                piece = []  # one text list per field of rows r0 to r0 + step
                 for column, width, f in zip(columns, widths, floats):
-                    block = column[r0:r1]
+                    block = column[r0 : r0 + step]
                     if f:
-                        table[:, j : j + width] = _float_fields(block).reshape(
-                            r1 - r0, width
-                        )
+                        piece += _float_fields(block, width)
                     else:
-                        table[:, j] = [quoted[t] for t in block]
-                    j += width
-                fh.write("".join([",".join(row) + "\r\n" for row in table.tolist()]))
+                        piece.append([quoted[t] for t in block])
+                fh.write("\r\n".join(map(",".join, zip(*piece))) + "\r\n")

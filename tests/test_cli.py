@@ -635,7 +635,9 @@ class TestCsvWriter:
         texts = ["" if i % 3 else "err, with comma" for i in range(n)]
         header = ["p1", "p,2", "p3", "label", "value", "error"]
         out = tmp_path / "t.csv"
-        dataset._write_table(out, header, [[values, labels, values[:, 0], texts]])
+        # values[:, :0] is transform's (b, 0) plot column for other than 3 parts
+        columns = [values, labels, values[:, :0], values[:, 0], texts]
+        dataset._write_table(out, header, [columns])
         expected = [
             _repr_row(v.tolist()) + [lab, repr(float(v[0])), t]
             for v, lab, t in zip(values, labels, texts)

@@ -162,6 +162,50 @@ class TestBlockedIngest:
         assert blocked.endswith(": " + message)
 
 
+class TestPaddedParts:
+    """A part reads as float(token.strip()), though float alone keeps
+    \\x1c-\\x1f, in one-row blocks as in the default ones."""
+
+    PADS = [" ", "\t", "\xa0", "\u2003", "\x1f"]
+    BARE = ["0.5,0.25,0.25,a", "70,20,10,b", "1e-5,1e16,1,a"]
+
+    @pytest.fixture(params=[None, 1], ids=lambda b: f"read-rows-{b}")
+    def read_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(dataset, "_READ_ROWS", request.param)
+
+    def ingest(self, tmp_path, rows, name="data.csv"):
+        path = tmp_path / name
+        path.write_text("a,b,c,Type\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        return ingest_csv(path, "Type")
+
+    def test_padding_keeps_the_bits(self, read_rows, tmp_path):
+        # every pad on each side of some part: left PADS[k], right PADS[k + 2]
+        padded = []
+        for i, row in enumerate(self.BARE):
+            *parts, label = row.split(",")
+            padded.append(",".join(
+                [self.PADS[k % 5] + part + self.PADS[(k + 2) % 5]
+                 for k, part in enumerate(parts, start=3 * i)] + [label]
+            ))
+        bare = self.ingest(tmp_path, self.BARE)
+        again = self.ingest(tmp_path, padded, "padded.csv")
+        assert again.equals(bare)
+        assert np.array_equal(again.rows.view(np.int64), bare.rows.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("0.5, oops ,0.5,a", "column 'b': not numeric: 'oops'"),
+         ("0.5,oops,nope,a", "column 'b': not numeric: 'oops'"),
+         ("x,0.5,\tnope\xa0,a", "column 'a': not numeric: 'x'"),
+         ("\x1f0.5,0.5, oops\x1f,a", "column 'c': not numeric: 'oops'")],
+    )
+    def test_first_bad_part_named_stripped(self, read_rows, tmp_path, bad, message):
+        with pytest.raises(IngestionError) as exc:
+            self.ingest(tmp_path, [self.BARE[0], bad])
+        assert str(exc.value).endswith(": line 3, " + message)
+
+
 class TestRoundTrip:
     def test_write_then_ingest_is_identical(self, tmp_path, blob_dataset):
         path = tmp_path / "out.csv"

@@ -1,9 +1,10 @@
-"""Print the peak RSS of each benchmark operation; a report, not a gate.
+"""Print each benchmark operation's peak RSS and CPU time; a report, not a gate.
 
 bench/run.py reports a workload's peak_rss_mb as the largest of its
-operations. This builds each workload's inputs and operations from
-bench/workloads.py at seed 101, as tools/cross_target.py does, runs every
-operation once in a fresh process and prints that process's own ru_maxrss
+operations, and its cpu_s as their sum. This builds each workload's inputs
+and operations from bench/workloads.py at seed 101, as
+tools/cross_target.py does, runs every operation once in a fresh process
+and prints that process's own ru_maxrss and user plus system CPU time
 (os.wait4, through bench/launcher.py, which is started before this script
 grows). It does so twice:
 
@@ -13,6 +14,8 @@ grows). It does so twice:
   * cached: bytecode cached under a temporary PYTHONPYCACHEPREFIX, filled
     by one unmeasured run of each operation.
 
+Each workload ends with a "(pass)" line: the largest RSS and the summed
+CPU time of its operations, as peak_rss_mb and cpu_s aggregate a pass.
 After the benchmark's operations it prints one probe that the benchmark does
 not run, for information: loci at n 1500 (esov, alpha 0.5), 25 times
 plot-prep's lattice. loci streams its field, so this peak should stay near
@@ -64,30 +67,35 @@ def main() -> int:
         failed = 0
         cmd = [sys.executable, "-m", "simplexknn.cli"]
 
-        def measure(name, label, argv, work, peaks):
-            """Run argv once with each launcher; print and keep each ru_maxrss."""
+        def measure(name, label, argv, work, results):
+            """Run argv once with each launcher; print and keep each result."""
             nonlocal failed
             runs["cached"].run(cmd + list(argv), work, TIMEOUT_S)  # fills the cache
-            cells = []
             for key, launcher in runs.items():
                 result = launcher.run(cmd + list(argv), work, TIMEOUT_S)
                 failed += result["exit_code"] != 0
-                peaks[key].append(result["rss_mib"])
-                cells.append(f"{result['rss_mib']:10.2f}")
+                results[key].append(result)
+            show(name, label, [r[-1]["rss_mib"] for r in results.values()],
+                 [r[-1]["cpu_s"] for r in results.values()])
+
+        def show(name, label, rss, cpu):
+            cells = [f"{v:10.2f}" for v in rss] + [f"{v:10.3f}" for v in cpu]
             print(f"{name:12s} {label:16s} {' '.join(cells)}", flush=True)
 
-        print(f"{'workload':12s} {'operation':16s} {'source MiB':>10s} {'cached MiB':>10s}")
+        print(f"{'workload':12s} {'operation':16s} {'source MiB':>10s} "
+              f"{'cached MiB':>10s} {'source cpu':>10s} {'cached cpu':>10s}")
         for name, build in workloads.WORKLOADS.items():
             workload = build(SEED)
             work = tmp / name
             work.mkdir()
             for file, text in workload.inputs.items():
                 (work / file).write_text(text, encoding="utf-8")
-            peaks = {key: [] for key in runs}
+            results = {key: [] for key in runs}
             for op in workload.ops:
-                measure(name, op.name, op.argv, work, peaks)
-            cells = " ".join(f"{max(p):10.2f}" for p in peaks.values())
-            print(f"{name:12s} {'(pass maximum)':16s} {cells}", flush=True)
+                measure(name, op.name, op.argv, work, results)
+            show(name, "(pass)",
+                 [max(r["rss_mib"] for r in rs) for rs in results.values()],
+                 [sum(r["cpu_s"] for r in rs) for rs in results.values()])
         work = tmp / "probe"
         work.mkdir()
         measure("(probe)", "loci --n 1500", PROBE, work, {key: [] for key in runs})
