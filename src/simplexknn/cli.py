@@ -26,7 +26,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 # before numpy loads, which sizes the pool once; a value the caller set wins
@@ -288,13 +287,14 @@ def _cmd_tune(args) -> int:
     )
     report = _envelope("tune", config)
     # the sidecar of a CSV leaves out the cells, which are the CSV's rows
-    report["result"] = replace(result, cells=()).to_dict()
-    del report["result"]["cells"]
+    report["result"] = summary = result.to_dict()
+    cells = summary.pop("cells")
     best = result.best()
     report["best"] = {"alpha": best.alpha, "k": best.k,
                       "mean_accuracy": best.mean_accuracy}
     _write_report(
-        args, report, lambda: {"result": result.to_dict()}, *_grid_cells_csv(result)
+        args, report, lambda: {"result": summary | {"cells": cells}},
+        *_grid_cells_csv(result)
     )
     return 0
 

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IngestionError
-from .simplex import _as_composition, _domain_fault
+from .simplex import _as_composition, _domain_fault, _whole
 
 __all__ = ["LabeledDataset", "ingest_csv", "write_csv", "DEFAULT_DROP_COLUMNS"]
 
@@ -132,17 +132,6 @@ class LabeledDataset:
             and self.classes == other.classes
             and self.feature_names == other.feature_names
         )
-
-
-def _whole(values, name: str) -> np.ndarray:
-    """values as an intp array, by simplex._integer's rule for each value: a
-    whole float such as 1.0 is kept, while a bool or a fraction is an error."""
-    array = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
-        whole = array.astype(np.intp)
-    if array.dtype == bool or not np.array_equal(whole, array):
-        raise ValueError(f"{name} must be whole numbers")
-    return whole
 
 
 def ingest_csv(

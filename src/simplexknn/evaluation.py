@@ -28,7 +28,7 @@ order. Replications go in blocks sized like a tile (metrics._TILE_FLOATS), so
 memory does not grow with B: one gather, mask lookup and cumsum filter a
 block, one knn._vote votes every k, and two bincounts count the true
 positives and the predictions of every (k, replication, class), from which
-the rates follow bit-identical to classifying each cell alone.
+_rates, sensitivity_specificity's formula, gives the rates.
 
 Also here: confusion statistics, leave-one-out membership scores, which
 hold each row out by the replications' filter, and one-vs-rest ROC curves
@@ -37,7 +37,7 @@ with trapezoidal AUC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
 
 import numpy as np
@@ -52,7 +52,7 @@ from .errors import (
 from . import knn, metrics
 from .knn import NeighborConfig, _nearest, _vote
 from .metrics import POWER_FAMILIES, MetricSpec
-from .simplex import _integer
+from .simplex import _integer, _whole
 
 __all__ = [
     "allocate_test_counts",
@@ -154,13 +154,13 @@ def stratified_holdout(
 
 
 def confusion_matrix(truth, predicted, n_classes: int | None = None) -> np.ndarray:
-    """Counts[t][p] of true class t predicted as p."""
-    truth = np.asarray(truth, dtype=np.intp)
-    predicted = np.asarray(predicted, dtype=np.intp)
+    """Counts[t][p] of true class t predicted as p; labels are whole numbers."""
+    truth = _whole(truth, "truth")
+    predicted = _whole(predicted, "predicted")
     if truth.shape != predicted.shape:
         raise ValueError("truth and predicted must have equal length")
     if n_classes is None:
-        n_classes = int(max(truth.max(), predicted.max())) + 1
+        n_classes = int(max(truth.max(initial=-1), predicted.max(initial=-1))) + 1
     for labels in (truth, predicted):
         outside = labels[(labels < 0) | (labels >= n_classes)]
         if outside.size:
@@ -179,15 +179,25 @@ def sensitivity_specificity(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     when a class covers the whole sample.
     """
     cm = np.asarray(cm)
-    total = cm.sum(axis=(-2, -1))[..., None]
-    tp = np.diagonal(cm, axis1=-2, axis2=-1).astype(float)
-    per_true = cm.sum(axis=-1).astype(float)
-    per_pred = cm.sum(axis=-2).astype(float)
+    return _rates(
+        np.diagonal(cm, axis1=-2, axis2=-1).astype(float),
+        cm.sum(axis=-1).astype(float),
+        cm.sum(axis=-2).astype(float),
+        cm.sum(axis=(-2, -1))[..., None],
+    )
+
+
+def _rates(tp, per_true, per_pred, total):
+    """(sensitivity, specificity) from true positives, true and predicted
+    counts per class and the sample size: the one rate formula, for
+    sensitivity_specificity and the tuner. Each is NaN where undefined; the
+    np.where keeps that NaN positive, which 0/0 is not on x86."""
     fp = per_pred - tp
-    tn = total - per_true - fp
+    neg = total - per_true
+    tn = neg - fp
     with np.errstate(invalid="ignore", divide="ignore"):
         sens = np.where(per_true > 0, tp / per_true, np.nan)
-        spec = np.where(total - per_true > 0, tn / (tn + fp), np.nan)
+        spec = np.where(neg > 0, tn / (tn + fp), np.nan)
     return sens, spec
 
 
@@ -206,21 +216,19 @@ class GridCell:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "k": self.k,
-            "mean_accuracy": self.mean_accuracy,
-            "sd_accuracy": self.sd_accuracy,
-            "sensitivity_mean": _opt_list(self.sensitivity_mean),
-            "sensitivity_sd": _opt_list(self.sensitivity_sd),
-            "specificity_mean": _opt_list(self.specificity_mean),
-            "specificity_sd": _opt_list(self.specificity_sd),
-            "error": self.error,
-        }
+        return _as_dict(self)
 
 
-def _opt_list(values):
-    return None if values is None else list(values)
+def _as_dict(result) -> dict:
+    """A GridCell's or GridResult's fields in order, a tuple as a list and a
+    cell as its own dict: the one rule for both reports."""
+    out = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if isinstance(value, tuple):
+            value = [v.to_dict() if isinstance(v, GridCell) else v for v in value]
+        out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -239,9 +247,7 @@ class GridResult:
 
     def cell(self, alpha: float | None, k: int) -> GridCell:
         for c in self.cells:
-            if c.k == k and (
-                (c.alpha is None and alpha is None) or c.alpha == alpha
-            ):
+            if c.k == k and c.alpha == alpha:
                 return c
         raise KeyError(f"no cell for alpha={alpha!r}, k={k}")
 
@@ -260,17 +266,7 @@ class GridResult:
         return max(scored, key=lambda c: c.mean_accuracy)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "alphas": None if self.alphas is None else list(self.alphas),
-            "ks": list(self.ks),
-            "B": self.B,
-            "test_total": self.test_total,
-            "seed": self.seed,
-            "classes": list(self.classes),
-            "split_digest": self.split_digest,
-            "cells": [c.to_dict() for c in self.cells],
-        }
+        return _as_dict(self)
 
 
 def _prefix_margin(n: int, test_total: int, kmax: int, B: int) -> int:
@@ -367,18 +363,15 @@ def _score_block(data, spec, indices, dists, tests, ks, acc, rates):
     winners, _ = _vote(ranked_dists.T, data.labels[sel].T, ks, n_classes)
     # each replication's true counts per class are its allocation, so only
     # the true positives and the predictions of each (k, replication, class)
-    # are counted; the rates are sensitivity_specificity's, bit for bit
+    # are counted, and _rates turns the counts into rates
     truth = data.labels[rows]
     alloc = np.bincount(truth[:test_n], minlength=n_classes)
     cells = (np.arange(n_ks)[:, None] * reps + rep) * n_classes
     size, shape = n_ks * reps * n_classes, (n_ks, reps, n_classes)
     tp = np.bincount((cells + truth)[winners == truth], minlength=size).reshape(shape)
-    fp = np.bincount((cells + winners).ravel(), minlength=size).reshape(shape) - tp
-    neg = test_n - alloc
+    predicted = np.bincount((cells + winners).ravel(), minlength=size).reshape(shape)
     acc[...] = 100.0 * (tp.sum(axis=2) / test_n)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        rates[0] = np.swapaxes(tp / alloc, 1, 2)
-        rates[1] = np.swapaxes(np.where(neg > 0, (neg - fp) / neg, np.nan), 1, 2)
+    rates[...] = np.swapaxes(_rates(tp, alloc, predicted, test_n), 2, 3)
     return short.size
 
 
@@ -538,10 +531,20 @@ def roc_curve(scores, truth, class_index: int, k: int | None = None) -> RocCurve
     With k given, thresholds are the k+1 achievable membership levels
     0, 1/k, ..., 1 plus a sentinel above 1; otherwise the observed score
     values are used (same polyline). The sentinel yields (0, 0) and the zero
-    threshold yields (1, 1), so the curve always spans both corners.
+    threshold yields (1, 1), so the curve always spans both corners. scores
+    is (n, C), one row per whole-number truth label, and class_index lies in
+    [0, C).
     """
     scores = np.asarray(scores, dtype=float)
-    truth = np.asarray(truth, dtype=np.intp)
+    truth = _whole(truth, "truth")
+    if scores.ndim != 2 or truth.shape != scores.shape[:1]:
+        raise ValueError(
+            f"scores must be 2-D with one row per truth label, got shape "
+            f"{scores.shape} for truth of shape {truth.shape}"
+        )
+    class_index = _integer(class_index, "class_index", positive=False)
+    if not 0 <= class_index < scores.shape[1]:
+        raise ValueError(f"class_index {class_index} is outside [0, {scores.shape[1]})")
     col = scores[:, class_index]
     positive = truth == class_index
     n_pos = int(positive.sum())
@@ -566,7 +569,7 @@ def roc_curve(scores, truth, class_index: int, k: int | None = None) -> RocCurve
         fpr[i] = int((predicted & ~positive).sum()) / n_neg
     # thresholds descend, so fpr and tpr are already non-decreasing
     return RocCurve(
-        class_index=int(class_index),
+        class_index=class_index,
         fpr=tuple(float(v) for v in fpr),
         tpr=tuple(float(v) for v in tpr),
         thresholds=tuple(float(v) for v in thresholds),

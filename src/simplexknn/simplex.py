@@ -152,6 +152,17 @@ def _integer(value, name: str, positive: bool = True) -> int:
     return int(value)
 
 
+def _whole(values, name: str) -> np.ndarray:
+    """values as an intp array, by _integer's rule for each value: a whole
+    float such as 1.0 is kept, while a bool or a fraction is an error."""
+    array = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # nan and inf fail the comparison
+        whole = array.astype(np.intp)
+    if array.dtype == bool or not np.array_equal(whole, array):
+        raise ValueError(f"{name} must be whole numbers")
+    return whole
+
+
 def _checked_power_transform(x, alpha, role="composition", names=None, first=0):
     """power_transform naming a fault's row and part, as _validated does: the
     one validate-and-power routine, which MetricSpec.prepare also calls."""

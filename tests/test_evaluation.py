@@ -1,10 +1,13 @@
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from simplexknn import (
+    GridCell,
+    GridResult,
     InfeasibleStratification,
     InsufficientTraining,
     LabeledDataset,
@@ -136,6 +139,9 @@ class TestConfusion:
         cm = confusion_matrix([0, 1, 2, 1], [0, 1, 2, 1], 3)
         np.testing.assert_array_equal(cm, np.diag([1, 2, 1]))
 
+    def test_no_labels_give_an_empty_matrix(self):
+        assert confusion_matrix([], []).shape == (0, 0)
+
     def test_single_column_when_one_class_predicted(self):
         cm = confusion_matrix([0, 1, 2], [0, 0, 0], 3)
         assert cm[:, 0].sum() == 3 and cm[:, 1:].sum() == 0
@@ -153,16 +159,19 @@ class TestConfusion:
         assert cm.sum() == 30
 
     @pytest.mark.parametrize(
-        "truth, predicted, n_classes, bad",
+        "truth, predicted, n_classes, message",
         [
-            ([0, -1, 1], [0, 0, 1], None, "-1"),
-            ([0, 1, 1], [0, 0, -2], 2, "-2"),
-            ([0, 1, 2], [0, 1, 1], 2, "2"),
-            ([0, 1, 1], [0, 5, 1], 3, "5"),
+            ([0, -1, 1], [0, 0, 1], None, "label -1 is outside"),
+            ([0, 1, 1], [0, 0, -2], 2, "label -2 is outside"),
+            ([0, 1, 2], [0, 1, 1], 2, "label 2 is outside"),
+            ([0, 1, 1], [0, 5, 1], 3, "label 5 is outside"),
+            # the whole-number rule of LabeledDataset: no class 0 from 0.5
+            ([0.5], [0], None, "truth must be whole numbers"),
+            ([0, 1], [True, False], 2, "predicted must be whole numbers"),
         ],
     )
-    def test_label_outside_classes_rejected(self, truth, predicted, n_classes, bad):
-        with pytest.raises(ValueError, match=f"label {bad} is outside"):
+    def test_label_outside_classes_rejected(self, truth, predicted, n_classes, message):
+        with pytest.raises(ValueError, match=message):
             confusion_matrix(truth, predicted, n_classes)
 
     def test_sensitivity_specificity_diagonal(self):
@@ -179,6 +188,15 @@ class TestConfusion:
         cm = np.array([[5, 0, 0], [0, 0, 0], [1, 0, 4]])
         sens, _ = sensitivity_specificity(cm)
         assert np.isnan(sens[1]) and sens[0] == 1.0
+        # class 1 has no true row, and class 0 of `whole` no negative
+        whole = np.zeros((3, 3), dtype=int)
+        whole[0, 0] = 4
+        for stack in (np.stack([cm, whole]), np.stack([cm, whole]).astype(float)):
+            sens, spec = sensitivity_specificity(stack)
+            assert np.isnan([sens[0, 1], sens[1, 1], spec[1, 0]]).all()
+            # NaN has np.nan's positive bits, where x86's 0/0 sets the sign
+            for rates in (sens, spec):
+                assert not np.signbit(rates[np.isnan(rates)]).any()
 
     def test_stacked_matrices_match_one_at_a_time(self):
         rng = np.random.default_rng(78)
@@ -242,13 +260,23 @@ class TestGridSearch:
         kwargs = dict(B=6, test_total=6, seed=11)
         a = grid_search(blob_dataset, [0.5, 1.0], [1, 3], "tc", **kwargs)
         b = grid_search(blob_dataset, [0.5, 1.0], [1, 3], "tc", **kwargs)
-        assert a.to_dict() == b.to_dict()
+        report = a.to_dict()
+        assert report == b.to_dict()
+        # the fields in order, a tuple as a list and each cell its own dict
+        assert list(report) == [f.name for f in fields(GridResult)]
+        assert (report["alphas"], report["ks"]) == ([0.5, 1.0], [1, 3])
+        assert report["cells"] == [c.to_dict() for c in a.cells]
+        cell = report["cells"][0]
+        assert list(cell) == [f.name for f in fields(GridCell)]
+        assert cell["sensitivity_mean"] == list(a.cells[0].sensitivity_mean)
+        for values in (report, *report["cells"]):
+            assert not any(isinstance(v, tuple) for v in values.values())
 
     def test_aitchison_ignores_alpha_grid(self, blob_dataset):
         result = grid_search(
             blob_dataset, [0.1, 0.9], [1, 3], "aitchison", B=2, test_total=6, seed=4
         )
-        assert result.alphas is None
+        assert result.alphas is None and result.to_dict()["alphas"] is None
         assert [c.alpha for c in result.cells] == [None, None]
         assert result.cell(None, 3).mean_accuracy is not None
 
@@ -262,7 +290,8 @@ class TestGridSearch:
         bad = grid_search(data, [1.0], [1, 3], "aitchison", B=2, test_total=6, seed=6)
         for cell in bad.cells:
             assert cell.error is not None and "ZeroInAitchison" in cell.error
-            assert cell.mean_accuracy is None
+            stats = list(cell.to_dict().values())[2:-1]  # all but alpha, k, error
+            assert stats == [None] * 6
 
     def test_negative_alpha_error_confined_to_its_cells(self):
         rng = np.random.default_rng(91)

@@ -18,6 +18,9 @@ def one_vs_rest_scores(values):
     return np.column_stack([v, 1.0 - v])
 
 
+TWO_ROWS = one_vs_rest_scores([0.0, 1.0])
+
+
 class TestRocCurve:
     def test_perfect_scorer_hits_top_left_corner(self):
         scores = one_vs_rest_scores([1, 1, 1, 0, 0])
@@ -84,6 +87,30 @@ class TestRocCurve:
         scores = one_vs_rest_scores([0.0, 1.0])
         with pytest.raises(ValueError, match="k must be a positive integer"):
             roc_curve(scores, [1, 0], 0, k=k)
+
+    @pytest.mark.parametrize(
+        "scores, truth, class_index, message",
+        [
+            (TWO_ROWS, [1, 0, 0], 0, r"one row per truth label"),
+            (TWO_ROWS[0], [1, 0], 0, r"2-D with one row per truth label"),
+            (TWO_ROWS, [[1, 0]], 0, r"got shape \(2, 2\) for truth of shape"),
+            (TWO_ROWS, [1, 0], 2, r"class_index 2 is outside \[0, 2\)"),
+            (TWO_ROWS, [1, 0], -1, r"class_index -1 is outside"),
+            (TWO_ROWS, [1, 0], 0.5, "class_index must be an integer"),
+            (TWO_ROWS, [1, 0], True, "class_index must be an integer"),
+            (TWO_ROWS, [1.5, 0], 0, "truth must be whole numbers"),
+            (TWO_ROWS, [True, False], 0, "truth must be whole numbers"),
+        ],
+    )
+    def test_inputs_rejected_by_name(self, scores, truth, class_index, message):
+        with pytest.raises(ValueError, match=message):
+            roc_curve(scores, truth, class_index, k=1)
+
+    def test_whole_float_inputs_give_the_int_curve(self):
+        scores = one_vs_rest_scores([1.0, 0.0, 1.0])
+        want = roc_curve(scores, [0, 1, 1], 1, k=1)
+        assert roc_curve(scores, [0.0, 1.0, 1.0], 1.0, k=1) == want
+        assert type(want.class_index) is int
 
 
 class TestAuc:
