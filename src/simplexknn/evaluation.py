@@ -188,10 +188,9 @@ def sensitivity_specificity(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rates(tp, per_true, per_pred, total):
-    """(sensitivity, specificity) from true positives, true and predicted
-    counts per class and the sample size: the one rate formula, for
-    sensitivity_specificity and the tuner. Each is NaN where undefined; the
-    np.where keeps that NaN positive, which 0/0 is not on x86."""
+    """(sensitivity, specificity) per class from the true positives, true and
+    predicted counts and sample size; NaN where undefined. The one rate
+    formula. np.where keeps NaN positive, which x86's 0/0 is not."""
     fp = per_pred - tp
     neg = total - per_true
     tn = neg - fp
@@ -371,7 +370,8 @@ def _score_block(data, spec, indices, dists, tests, ks, acc, rates):
     tp = np.bincount((cells + truth)[winners == truth], minlength=size).reshape(shape)
     predicted = np.bincount((cells + winners).ravel(), minlength=size).reshape(shape)
     acc[...] = 100.0 * (tp.sum(axis=2) / test_n)
-    rates[...] = np.swapaxes(_rates(tp, alloc, predicted, test_n), 2, 3)
+    sens, spec = _rates(tp, alloc, predicted, test_n)
+    rates[0], rates[1] = sens.swapaxes(1, 2), spec.swapaxes(1, 2)
     return short.size
 
 
