@@ -28,7 +28,7 @@ order. Replications go in blocks sized like a tile (metrics._TILE_FLOATS), so
 memory does not grow with B: one gather, mask lookup and cumsum filter a
 block, one knn._vote votes every k, and two bincounts count the true
 positives and the predictions of every (k, replication, class), from which
-_rates, sensitivity_specificity's formula, gives the rates.
+the rates follow by _rates, sensitivity_specificity's formula.
 
 Also here: confusion statistics, leave-one-out membership scores, which
 hold each row out by the replications' filter, and one-vs-rest ROC curves
@@ -188,9 +188,10 @@ def sensitivity_specificity(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rates(tp, per_true, per_pred, total):
-    """(sensitivity, specificity) per class from the true positives, true and
-    predicted counts and sample size; NaN where undefined. The one rate
-    formula. np.where keeps NaN positive, which x86's 0/0 is not."""
+    """(sensitivity, specificity) from true positives, true and predicted
+    counts per class and the sample size: the one rate formula, for
+    sensitivity_specificity and the tuner. Each is NaN where undefined; the
+    np.where keeps that NaN positive, which 0/0 is not on x86."""
     fp = per_pred - tp
     neg = total - per_true
     tn = neg - fp
@@ -219,8 +220,9 @@ class GridCell:
 
 
 def _as_dict(result) -> dict:
-    """A GridCell's or GridResult's fields in order, a tuple as a list and a
-    cell as its own dict: the one rule for both reports."""
+    """A GridCell's or GridResult's fields in order, each tuple as a list and
+    each cell as its own dict: the one rule for both reports, so a field
+    added to either class appears in its report."""
     out = {}
     for f in fields(result):
         value = getattr(result, f.name)
